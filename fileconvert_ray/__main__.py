@@ -276,12 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("input", help="parquet/CSV/JSONL/feather file or directory of shards")
     te.add_argument("--out", required=True, help="container output directory")
     te.add_argument("--batch-rows", type=int, default=None,
-                    help="coalesce input blocks to ~N rows per container")
+                    help="at most N rows per container: larger input blocks "
+                         "are split, smaller ones coalesced (default: one "
+                         "container per Ray Data block, whose count varies "
+                         "by host)")
     te.add_argument("--append", action="store_true",
                     help="add rows to an existing container dir (schema-checked)")
     te.add_argument("--sort-by", default=None,
                     help="globally sort by this column first: disjoint zone maps, "
-                         "so later --where reads prune aggressively")
+                         "so later --where reads prune aggressively; pruning "
+                         "is per container, so size them with --batch-rows")
 
     tm = sub.add_parser(
         "table-compact",

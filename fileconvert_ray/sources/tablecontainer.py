@@ -242,12 +242,15 @@ def write_container_table(
     manifest Dataset (path, n_rows, encoded_bytes, plain_bytes) —
     consuming it drives the write (same contract as the Feather sink).
 
-    ``batch_rows``: coalesce input blocks to ~this many rows per
-    container (default: one container per input block).  Small-file
-    inputs fragment into tiny containers otherwise, and per-chunk codec
-    overheads (dict tables, freq tables, parquet footers) repeat per
-    container — at scale, size containers so their encoded payload
-    lands in the tens of MB.
+    ``batch_rows``: at most this many rows per container; a larger
+    input block is split and smaller blocks are coalesced
+    (``map_batches(batch_size=...)``).  Default: one container per
+    input block, so the count follows Ray Data's block count, which for
+    a small file is 2x the CPUs Ray sees and so varies by host.
+    Small-file inputs fragment into tiny containers that way, and
+    per-chunk codec overheads (dict tables, freq tables, parquet
+    footers) repeat per container — at scale, size containers so their
+    encoded payload lands in the tens of MB.
 
     ``mode``: container files are uuid-named, so a re-run into a
     non-empty out_dir would silently DUPLICATE every row — "error"

@@ -1,7 +1,9 @@
 """CLI smoke tests (reference R6 argv surface; round-1 verdict gap #3).
 
 Each invocation is a fresh subprocess owning its own Ray session, so
-these do NOT use the shared ray_session fixture.
+these do NOT use the shared ray_session fixture.  The CLI sizes that
+session to the host's CPUs (no env var pins it), so Ray Data's default
+block count varies by host and CLI assertions must not depend on it.
 """
 
 import json
@@ -16,7 +18,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args):
-    env = dict(os.environ, PYTHONPATH=REPO, RAY_GRAFT_CPUS="2")
+    env = dict(os.environ, PYTHONPATH=REPO)
     out = subprocess.run(
         [sys.executable, "-m", "fileconvert_ray", *args],
         capture_output=True, text=True, cwd=REPO, env=env, timeout=300,
@@ -139,7 +141,7 @@ def test_cli_compact_then_source_verify(tmp_path):
 def test_cli_encode_rejects_untokenized_input():
     """encode/encode-inc fail fast with a readable message on raw
     document tables instead of dying mid-pipeline with a block dump."""
-    env = dict(os.environ, PYTHONPATH=REPO, RAY_GRAFT_CPUS="2")
+    env = dict(os.environ, PYTHONPATH=REPO)
     for cmd in ("encode", "encode-inc"):
         out = subprocess.run(
             [sys.executable, "-m", "fileconvert_ray", cmd,
@@ -432,14 +434,15 @@ def test_cli_table_encode_decode(tmp_path):
 
 def test_cli_table_sort_compact_inspect(tmp_path):
     """--sort-by yields aggressively prunable zone maps; table-compact
-    defragments 64 tiny containers into one; table-inspect reconciles."""
+    defragments the >= 60 tiny containers that --batch-rows 25 makes of
+    1,500 rows into one; table-inspect reconciles."""
     from fileconvert_ray.sources.tablecontainer import file_pruned
 
     sf = "/root/testdata/sf0.001"
     enc = str(tmp_path / "tc")
     r = run_cli("table-encode", f"{sf}/orders.parquet", "--out", enc,
-                "--sort-by", "o_totalprice")
-    assert r["ok"] and r["files"] > 8
+                "--sort-by", "o_totalprice", "--batch-rows", "25")
+    assert r["ok"] and r["files"] >= -(-r["n_rows"] // 25)
     files = [os.path.join(enc, f) for f in os.listdir(enc) if f.startswith("part-")]
     pruned = sum(file_pruned(f, "o_totalprice", 50_000.0, 80_000.0) for f in files)
     assert pruned >= len(files) * 3 // 4, f"{pruned}/{len(files)}"

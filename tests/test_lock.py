@@ -106,7 +106,7 @@ def test_cli_exits_3_when_locked(tmp_path):
               "operation": "encode", "ts": "2026-08-19T00:00:00"}
     with open(lock_path(out), "w") as f:
         json.dump(holder, f)
-    env = dict(os.environ, PYTHONPATH=REPO, RAY_GRAFT_CPUS="2")
+    env = dict(os.environ, PYTHONPATH=REPO)
     r = subprocess.run(
         [sys.executable, "-m", "fileconvert_ray", "encode", shard, "--out", out],
         capture_output=True, text=True, cwd=REPO, env=env, timeout=300)
