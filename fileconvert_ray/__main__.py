@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         "redact",
         help="replace every occurrence of exact word sequences with the "
         "OOV token (<unk>), in place — span-level takedown keeping the "
-        "documents (cf. delete --where-phrase, which drops them whole)",
+        "documents (cf. delete --where-phrase, which drops them whole); "
+        "docs_redacted/tokens_redacted include tombstoned documents, "
+        "which stay until purge",
     )
     rx.add_argument("out_dir", help="an INGESTED encode out dir (vocab.json)")
     rx.add_argument("--where-phrase", action="append", required=True,

@@ -179,7 +179,8 @@ def encode_array(
     the only statistically valid one: per-chunk size variance across
     different chunks exceeds the codec deltas.  Callers cache/lock the
     winning codec per (source, column) so the extra encodes happen once
-    per key per job (see stages/choices.py).
+    per key per worker process in a job (see
+    stages/encoder.encode_partition_table).
     """
     arr = _as_array(arr)
     params: dict = {}

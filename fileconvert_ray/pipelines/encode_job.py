@@ -10,14 +10,16 @@
     -> one reduce task per bucket (largest-first): split rows back into
        partitions (vectorized boundary scan; local restage if the
        bucket outgrows memory), run the codec auto-selector + the
-       same-chunk codec trial (job-global lead election) + encode ONCE,
-       E8/E6 atomic container+manifest (+ content digest) per partition
+       same-chunk codec trial (once per (source, column) in each worker
+       process) + encode ONCE, E8/E6 atomic container+manifest
+       (+ content digest) per partition
     -> returns a small metrics Dataset (one row per partition)
 
-The object-store payload shuffle (groupby + writer actor pool) is the
-`staged_shuffle=False` variant.  Never calls ray.init(); the caller
-owns the session.  All heavy stages are Arrow-zero-copy; the stats
-pass reads only (source, n_tok) via parquet column pruning.
+This is the only encode path.  Containers, manifests and (by default)
+the staged scratch all live under ``out_dir``, so a multi-node run
+needs ``out_dir`` on shared storage.  Never calls ray.init(); the
+caller owns the session.  All heavy stages are Arrow-zero-copy; the
+stats pass reads only (source, n_tok) via parquet column pruning.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..stages.encoder import (
-    ChunkEncoder,
-    PartitionWriter,
-    encode_chunks_task,
-    stage_raw_task,
-    write_bucket_task,
-)
+from ..stages.encoder import bucket_of_part_ids, stage_raw_task, write_bucket_task
 from ..stages.partition import (
     bucket_plan,
     gen_tag,
@@ -50,41 +46,10 @@ class EncodeConfig:
     codec_overrides: dict = field(default_factory=dict)
     zstd: bool = True
     resume: bool = True
-    # None = derive from cluster CPUs at run time.  Only consulted on
-    # the object-store shuffle path (staged_shuffle=False): the staged
-    # path's map side is stateless raw staging and always runs as plain
-    # tasks.  On the object-store path, stateless tasks are used when
-    # every map codec is fixed (instant start, cluster-elastic); an
-    # actor pool only when map-side codecs are 'auto' (FSST/dict caches
-    # then pay off across batches).
-    encode_concurrency: tuple | int | None = None
-    encode_num_cpus: float = 1.0
-    chunk_rows: int = 4096  # map-side encode batch size (rows)
-    # Map-side codecs are a cheap transport compression (shrink the
-    # shuffle ~3-4x at near-memcpy cost); the reduce side re-encodes
-    # each partition once with the full auto-selector (compaction), so
-    # final quality is partition-granular, not batch-granular.
-    map_codec_overrides: dict = field(
-        default_factory=lambda: {"doc_id": "plain", "source": "dict", "n_tok": "plain", "tokens": "plain"}
-    )
-    compact_tokens: int | None = None  # None = always compact on reduce
     compact_chunk_tokens: int = 4_000_000  # decode-friendly chunk size bound
-    # Staged external shuffle (default): map tasks write encoded chunk
-    # payloads to out_dir/staged (one row group per partition per file)
-    # and only (part_id, path, row_group) metadata crosses the groupby.
-    # Ray's sort shuffle moves ~35 MB/s on payload-bearing rows; the
-    # staged path moves kilobytes and lets the reduce side read each
-    # payload exactly once.  On a multi-node cluster staged/ lives on
-    # shared storage (the classic map-output-file shuffle).  False =
-    # payloads ride the object-store shuffle (no shared FS required).
-    staged_shuffle: bool = True
-    # Object-store shuffle path only.  None = autoscaling (1, ncpu-2):
-    # a fixed pool would reserve its CPUs for the whole job and starve
-    # the map phase ahead of the shuffle barrier.
-    write_concurrency: tuple | int | None = None
-    # Staged path: number of reduce buckets.  None = min(n_partitions,
-    # max(64, 4 x cluster CPUs)).  Staged row groups + exchanged
-    # metadata are O(blocks x buckets), independent of partition count.
+    # Number of reduce buckets.  None = min(n_partitions, max(64, 4 x
+    # cluster CPUs)).  Staged row groups + exchanged metadata are
+    # O(blocks x buckets), independent of partition count.
     reduce_buckets: int | None = None
     # A bucket whose staged bytes exceed this is re-staged locally to
     # per-partition row groups before finalizing (memory then bounded by
@@ -96,21 +61,6 @@ class EncodeConfig:
     # at tmpfs / node-local NVMe keeps a slow out_dir filesystem from
     # bottlenecking the exchange — final containers still go to out_dir.
     staged_dir: str | None = None
-
-
-def _make_choice_registry(cfg: EncodeConfig):
-    """Job-global codec A/B trial state (one trial per (source, column)
-    across ALL workers — see stages/choices.py).  Only needed when some
-    final codec is 'auto'; a fully-overridden job skips the actor."""
-    final_auto = any(
-        cfg.codec_overrides.get(c, "auto") == "auto"
-        for c in ("doc_id", "source", "n_tok", "tokens")
-    )
-    if not final_auto:
-        return None
-    from ..stages.choices import CodecChoiceRegistry
-
-    return CodecChoiceRegistry.remote()
 
 
 def run_encode(ds_factory, cfg: EncodeConfig, stats_factory=None):
@@ -171,17 +121,16 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
     already-completed partitions are dropped before the shuffle (E7);
     ``gen`` tags the partition labels (stages/partition.gen_tag) so
     generations never collide.  Returns the (lazy) metrics Dataset."""
+    import shutil
+    import uuid
+
+    import numpy as np
+    import pyarrow as pa
     import ray
+    import ray.data as rd
 
     n_parts = int(sum(plan.values()))
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    write_conc = cfg.write_concurrency
-    if write_conc is None:
-        # autoscaling (1, ncpu-2): a FIXED pool reserves its CPUs for the
-        # whole job and starves the map phase before the shuffle barrier
-        # (measured 1.5x slower); min=1 keeps one slot warm, the pool
-        # fills only once sorted groups start arriving
-        write_conc = (1, max(2, min(n_parts, ncpu - 2)))
 
     ds = ds_factory().map_batches(
         make_assigner(plan, gen=gen), batch_format="pyarrow", zero_copy_batch=True
@@ -190,156 +139,95 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
         ds = ds.map_batches(
             make_resume_filter(done), batch_format="pyarrow", zero_copy_batch=True
         )
-    # Phase 1 (map-side combine): encode chunks BEFORE the shuffle so the
-    # all-to-all moves codec output, not raw tokens.
-    map_codecs = {**cfg.map_codec_overrides, **cfg.codec_overrides}
-    map_is_stateless = all(
-        map_codecs.get(c, "auto") != "auto" for c in ("doc_id", "source", "n_tok", "tokens")
-    )
-    staged_dir = None
-    if cfg.staged_shuffle:
-        import shutil as _shutil
-
-        staged_dir = cfg.staged_dir or JobDirs(cfg.out_dir).staged
-        # staged files are this run's shuffle scratch; stale ones from a
-        # crashed run are never referenced (metadata rows die with it)
-        _shutil.rmtree(staged_dir, ignore_errors=True)
-        os.makedirs(staged_dir, exist_ok=True)
-    if staged_dir is not None:
-        # staged external shuffle: spill raw rows bucket-then-part_id
-        # sorted with parquet-zstd as transport (C++ columnar encode —
-        # the Python codecs run exactly once, reduce-side, per
-        # partition).  Whole-block batches -> one staged file per input
-        # block with ONE ROW GROUP PER REDUCE BUCKET, so staged row
-        # groups and metadata rows are O(blocks x n_buckets) with
-        # n_buckets fixed — independent of the partition count (the
-        # round-1 M x R verdict fix).
-        # Bucket count trades reduce-task granularity against read
-        # amplification: every bucket task reads one row group from
-        # EVERY staged file, so total row-group reads are blocks x
-        # buckets — more buckets means smaller tasks but more fixed
-        # per-row-group read cost (measured: 167 buckets was ~30% slower
-        # than 64 at 8 cpus on this box).  Straggler tails are handled
-        # by LPT ordering below instead of by shrinking buckets.
-        n_buckets = cfg.reduce_buckets or min(n_parts, max(64, 4 * ncpu))
-        chunks = ds.map_batches(
-            stage_raw_task,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            fn_kwargs={"staged_dir": staged_dir, "n_buckets": n_buckets},
-            num_cpus=cfg.encode_num_cpus,
-        )
-    elif map_is_stateless and cfg.encode_concurrency is None:
-        chunks = ds.map_batches(
-            encode_chunks_task,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.chunk_rows,
-            fn_kwargs={"codec_overrides": map_codecs, "zstd": cfg.zstd},
-            num_cpus=cfg.encode_num_cpus,
-        )
-    else:
-        chunks = ds.map_batches(
-            ChunkEncoder,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.chunk_rows,
-            fn_constructor_kwargs={"codec_overrides": map_codecs, "zstd": cfg.zstd},
-            concurrency=cfg.encode_concurrency or (1, max(2, ncpu - 4)),
-            num_cpus=cfg.encode_num_cpus,
-        )
-    # Phase 2: co-locate per partition, write containers.
-    if staged_dir is not None:
-        # Metadata rows are O(blocks x n_buckets) and tiny: concat them
-        # on the driver and group by bucket with one vectorized argsort
-        # (no per-row Python), then dispatch one reduce TASK per bucket —
-        # no sort op, no actor pool rampup, and the scheduler
-        # load-balances bucket tasks across all CPUs.  (If blocks x
-        # n_buckets ever outgrows the driver, this concat+argsort drops
-        # into a Ray groupby over the same tiny rows unchanged.)
-        import numpy as _np
-        import ray.data as rd
-
-        metas = [b for b in chunks.iter_batches(batch_size=None, batch_format="pyarrow")]
-        metas = [b for b in metas if b.num_rows]
-        if not metas:
-            return rd.from_items([]).map_batches(lambda b: b)
-        import pyarrow as _pa
-
-        meta = _pa.concat_tables(metas).combine_chunks()
-        bk = meta.column("bucket").to_numpy(zero_copy_only=False)
-        order = _np.argsort(bk, kind="stable")
-        sorted_bk = bk[order]
-        bounds = _np.concatenate(
-            ([0], _np.flatnonzero(_np.diff(sorted_bk)) + 1, [len(sorted_bk)])
-        )
-        paths = meta.column("staged_path")
-        rgs = meta.column("row_group")
-        items = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            sel = order[int(s) : int(e)]
-            items.append(
-                {
-                    "bucket": int(sorted_bk[s]),
-                    "staged_path": paths.take(_pa.array(sel)).to_pylist(),
-                    "row_group": rgs.take(_pa.array(sel)).to_pylist(),
-                }
-            )
-        # LPT scheduling: dispatch the biggest buckets FIRST so the tail
-        # of the reduce stage is small tasks, not a lone fat straggler.
-        # Bucket sizes are estimated from the plan (source token totals
-        # spread evenly over each source's partitions, partitions hashed
-        # to buckets exactly as stage_raw_task does).
-        from ..stages.encoder import bucket_of_part_ids
-
-        san = sanitized_names(plan)
-        tag = gen_tag(gen)
-        est = {}
-        for src, k in plan.items():
-            per_part = stats.get(src, 0) / max(1, k)
-            pids = [f"{san[src]}{tag}-b{i:04d}" for i in range(int(k))]
-            import pyarrow as _pa2
-
-            for b in bucket_of_part_ids(_pa2.array(pids, type=_pa2.string()), n_buckets):
-                est[int(b)] = est.get(int(b), 0.0) + per_part
-        items.sort(key=lambda it: -est.get(it["bucket"], 0.0))
-        reduce_ds = rd.from_items(items, override_num_blocks=len(items))
-        metrics = reduce_ds.map_batches(
-            write_bucket_task,
-            batch_format="pyarrow",
-            batch_size=1,
-            fn_kwargs={
-                "out_dir": cfg.out_dir,
-                "codec_overrides": cfg.codec_overrides,
-                "zstd": cfg.zstd,
-                "compact_chunk_tokens": cfg.compact_chunk_tokens,
-                "choice_registry": _make_choice_registry(cfg),
-                "restage_bytes": cfg.bucket_restage_bytes,
-            },
-            num_cpus=1.0,
-        )
-        return metrics
-
-    # object-store shuffle path: num_partitions ~ writer width — more
-    # reduce partitions than writers only adds shuffle tasks; fewer
-    # starves the pool.
-    n_reduce = max(2, min(n_parts, write_conc if isinstance(write_conc, int) else write_conc[-1]))
-    metrics = chunks.groupby("part_id", num_partitions=n_reduce).map_groups(
-        PartitionWriter,
+    staged_dir = cfg.staged_dir or JobDirs(cfg.out_dir).staged
+    # staged files are this run's shuffle scratch; stale ones from a
+    # crashed run are never referenced (metadata rows die with it)
+    shutil.rmtree(staged_dir, ignore_errors=True)
+    os.makedirs(staged_dir, exist_ok=True)
+    # Map side: spill raw rows bucket-then-part_id sorted with
+    # parquet-zstd as transport (C++ columnar encode — the Python codecs
+    # run exactly once, reduce-side, per partition).  Whole-block
+    # batches -> one staged file per input block with ONE ROW GROUP PER
+    # REDUCE BUCKET, so staged row groups and metadata rows are
+    # O(blocks x n_buckets) with n_buckets fixed — independent of the
+    # partition count (the round-1 M x R verdict fix).
+    # Bucket count trades reduce-task granularity against read
+    # amplification: every bucket task reads one row group from EVERY
+    # staged file, so total row-group reads are blocks x buckets — more
+    # buckets means smaller tasks but more fixed per-row-group read cost
+    # (measured: 167 buckets was ~30% slower than 64 at 8 cpus on this
+    # box).  Straggler tails are handled by LPT ordering below instead
+    # of by shrinking buckets.
+    n_buckets = cfg.reduce_buckets or min(n_parts, max(64, 4 * ncpu))
+    chunks = ds.map_batches(
+        stage_raw_task,
         batch_format="pyarrow",
-        fn_constructor_kwargs={
+        zero_copy_batch=True,
+        batch_size=None,
+        fn_kwargs={"staged_dir": staged_dir, "n_buckets": n_buckets},
+        num_cpus=1.0,
+    )
+    # Reduce side.  Metadata rows are O(blocks x n_buckets) and tiny:
+    # concat them on the driver and group by bucket with one vectorized
+    # argsort (no per-row Python), then dispatch one reduce TASK per
+    # bucket — no sort op, no actor pool rampup, and the scheduler
+    # load-balances bucket tasks across all CPUs.  (If blocks x
+    # n_buckets ever outgrows the driver, this concat+argsort drops
+    # into a Ray groupby over the same tiny rows unchanged.)
+    metas = [b for b in chunks.iter_batches(batch_size=None, batch_format="pyarrow")]
+    metas = [b for b in metas if b.num_rows]
+    if not metas:
+        return rd.from_items([]).map_batches(lambda b: b)
+    meta = pa.concat_tables(metas).combine_chunks()
+    bk = meta.column("bucket").to_numpy(zero_copy_only=False)
+    order = np.argsort(bk, kind="stable")
+    sorted_bk = bk[order]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(sorted_bk)) + 1, [len(sorted_bk)])
+    )
+    paths = meta.column("staged_path")
+    rgs = meta.column("row_group")
+    items = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        sel = pa.array(order[int(s) : int(e)])
+        items.append(
+            {
+                "bucket": int(sorted_bk[s]),
+                "staged_path": paths.take(sel).to_pylist(),
+                "row_group": rgs.take(sel).to_pylist(),
+            }
+        )
+    # LPT scheduling: dispatch the biggest buckets FIRST so the tail
+    # of the reduce stage is small tasks, not a lone fat straggler.
+    # Bucket sizes are estimated from the plan (source token totals
+    # spread evenly over each source's partitions, partitions hashed
+    # to buckets exactly as stage_raw_task does).
+    san = sanitized_names(plan)
+    tag = gen_tag(gen)
+    est = {}
+    for src, k in plan.items():
+        per_part = stats.get(src, 0) / max(1, k)
+        pids = [f"{san[src]}{tag}-b{i:04d}" for i in range(int(k))]
+        for b in bucket_of_part_ids(pa.array(pids, type=pa.string()), n_buckets):
+            est[int(b)] = est.get(int(b), 0.0) + per_part
+    items.sort(key=lambda it: -est.get(it["bucket"], 0.0))
+    reduce_ds = rd.from_items(items, override_num_blocks=len(items))
+    return reduce_ds.map_batches(
+        write_bucket_task,
+        batch_format="pyarrow",
+        batch_size=1,
+        fn_kwargs={
             "out_dir": cfg.out_dir,
             "codec_overrides": cfg.codec_overrides,
             "zstd": cfg.zstd,
-            "compact_tokens": cfg.compact_tokens,
             "compact_chunk_tokens": cfg.compact_chunk_tokens,
-            "choice_registry": _make_choice_registry(cfg),
+            # names this pass to the worker-global writer cache, so codec
+            # choices and FSST tables never carry over between jobs
+            "job_token": uuid.uuid4().hex,
+            "restage_bytes": cfg.bucket_restage_bytes,
         },
-        concurrency=write_conc,
         num_cpus=1.0,
     )
-    return metrics
 
 
 # -------------------------- incremental (append-aware) encode

@@ -97,7 +97,9 @@ def run_redact(
     """Redact every occurrence of the exact word sequences: matched
     spans' token ids become the store's OOV id, partitions rewrite in
     place.  Returns ``{"scanned", "rewritten", "docs_redacted",
-    "tokens_redacted", "sidecars_dropped"}``.
+    "tokens_redacted", "sidecars_dropped"}``.  ``docs_redacted`` and
+    ``tokens_redacted`` count tombstoned documents too: they stay in
+    the containers (and are redacted there) until purge.
 
     ``dry_run=True`` runs the identical scan but writes NOTHING — the
     summary reports what a real run would rewrite ("rewritten" counts
@@ -195,10 +197,12 @@ def run_redact(
             )
             i = decoded.column_names.index("tokens")
             out = decoded.set_column(i, decoded.schema.field(i), new_toks)
+            # sidecars go FIRST: a rewrite that fails part-way must not
+            # leave them beside content they no longer describe
+            dropped = _drop_sidecars(out_dir, pid)
             PartitionWriter(out_dir, zstd=zstd).finalize_raw(
                 out.combine_chunks(), pid, src_of[pid]
             )
-            dropped = _drop_sidecars(out_dir, pid)
             yield pa.table(
                 {"part_id": pa.array([pid]), "rewritten": pa.array([True]),
                  "docs": pa.array([n_docs_hit], pa.int64()),

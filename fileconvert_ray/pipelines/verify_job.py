@@ -353,11 +353,11 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
             for p, e in entries.items()
             if "digest" in e
         }
-        # completed partitions whose manifest carries NO digest (e.g.
-        # object-store shuffle with compact_tokens keeping transport
-        # chunks) cannot be audited in this mode — report them ok=False
-        # explicitly instead of silently dropping them, so an empty
-        # result can never read as all-ok
+        # completed partitions whose manifest carries NO digest (older
+        # stores: the retired object-store shuffle could keep transport
+        # chunks without one) cannot be audited in this mode — report
+        # them ok=False explicitly instead of silently dropping them, so
+        # an empty result can never read as all-ok
         no_digest = sorted(set(entries) - set(expected))
         part_ids = sorted(expected)
         if not part_ids and not no_digest:

@@ -124,9 +124,10 @@ def iter_container_chunks(cont: pa.Table):
     cont = cont.combine_chunks()
     if cont.num_rows == 0:
         return
-    # rows of one chunk_uid are not guaranteed contiguous here (object-
-    # store shuffle variant concatenates arbitrary chunk rows): group by
-    # code, then take() each chunk's rows — copies bounded by chunk size
+    # rows of one chunk_uid are not guaranteed contiguous here (stores
+    # written by the retired object-store shuffle concatenated arbitrary
+    # chunk rows): group by code, then take() each chunk's rows — copies
+    # bounded by chunk size
     codes = cont.column("chunk_uid").combine_chunks().dictionary_encode().indices.to_numpy(zero_copy_only=False)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -134,14 +135,6 @@ def iter_container_chunks(cont: pa.Table):
     for i, j in zip(bounds[:-1], bounds[1:]):
         sub = cont.take(pa.array(order[i:j]))
         yield _decode_chunk({k: sub.column(k).to_pylist() for k in _CHUNK_COLS})
-
-
-def decode_container_table(cont: pa.Table) -> pa.Table:
-    """Container chunk rows -> the original tokseq rows (order: by chunk)."""
-    parts = list(iter_container_chunks(cont))
-    if not parts:
-        return pa.Table.from_pydict({k: [] for k in INPUT_SCHEMA.names}, schema=INPUT_SCHEMA)
-    return pa.concat_tables(parts).combine_chunks()
 
 
 def _chunk_zone_skip(sub: pa.Table, n_tok_range) -> bool:

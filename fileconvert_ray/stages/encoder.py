@@ -1,27 +1,22 @@
-"""Two-phase partition encoder (SURVEY.md §2.2 E5/E6/E8).
+"""Partition encoder (SURVEY.md §2.2 E5/E6/E8): the two halves of the
+staged external shuffle that ``pipelines/encode_job.py`` wires up.
 
-Map-combine architecture (the "pre-aggregate before the shuffle"
-pattern, ray_guide.md §Aggregation-at-scale, applied to encoding):
+1. ``stage_raw_task`` — map side.  Spills each input block's RAW rows
+   to one staged parquet file with one row group per reduce bucket
+   (parquet-zstd as transport, no Python codec pass) and emits only
+   ``(bucket, staged_path, row_group)`` metadata rows.
+2. ``write_bucket_task`` — reduce side, one task per bucket.  Reads the
+   bucket's row groups, splits them back into partitions and hands each
+   to ``PartitionWriter.finalize_raw``: content digest, zone map, the
+   per-column codec auto-selector + encode exactly once, atomic
+   container, manifest line LAST, one metrics row.
 
-1. ``ChunkEncoder`` — stateful actor-pool ``map_batches`` stage.  Each
-   batch is split by ``part_id`` (one vectorized sort + slice) and
-   every sub-chunk's four columns are encoded immediately, emitting
-   tiny rows ``(part_id, chunk_uid, column, codec, params, payload,
-   ...)``.  The shuffle that follows therefore moves ~0.6-2 B/token of
-   codec output instead of 4 B/token of raw values — the all-to-all
-   exchange shrinks by the compression ratio.  FSST symbol tables and
-   codec choices are cached per (source, column) across batches (the
-   actor-pool state the north star calls for).
-2. ``groupby(part_id).map_groups(PartitionWriter)`` — co-locates each
-   partition's chunk rows (cheap: rows are already compressed), writes
-   the container parquet atomically, emits the manifest line LAST, and
-   returns one metrics row.  No partition-sized compute stragglers:
-   heavy encoding happened chunk-wise in phase 1.
-
-The tokens list column is encoded from its flat int32 values buffer
-(``ListArray.flatten()``, zero-copy); offsets ride on ``n_tok``
-(SURVEY §1.2).  Counters are data rows, never actor globals, so task
-retries cannot double-count (SURVEY §3.2).
+Codec choices and FSST symbol tables are cached per (source, column)
+in each worker process's writer, for one job.  The tokens list column
+is encoded from its flat int32 values buffer (``ListArray.flatten()``,
+zero-copy); offsets ride on ``n_tok`` (SURVEY §1.2).  Counters are
+data rows, never process globals, so task retries cannot double-count
+(SURVEY §3.2).
 """
 
 from __future__ import annotations
@@ -80,19 +75,7 @@ def _params_json(ec, zone: tuple[int, int] | None) -> str:
         return json.dumps(p)
     return json.dumps(ec.params)
 
-# metadata rows that replace payload-bearing chunk rows in the shuffle
-# when the staged external shuffle is on: the groupby moves O(chunks)
-# tiny rows while payloads wait on disk for exactly one read
-STAGED_META_SCHEMA = pa.schema(
-    [
-        ("part_id", pa.string()),
-        ("source", pa.string()),
-        ("staged_path", pa.string()),
-        ("row_group", pa.int32()),
-    ]
-)
-
-# the raw staged path exchanges BUCKET-granular metadata (M x B rows,
+# the staged shuffle exchanges BUCKET-granular metadata (M x B rows,
 # B fixed by config) instead of partition-granular (M x R) — see
 # stage_raw_task
 BUCKET_META_SCHEMA = pa.schema(
@@ -124,56 +107,33 @@ def encode_partition_table(
     fsst_cache: dict | None = None,
     choice_cache: dict | None = None,
     source_key: str = "",
-    choice_registry=None,
 ) -> tuple[list[EncodedColumn], dict]:
     """Encode one chunk's columns; returns encoded rows + per-column info.
 
     Codec choice for big chunks is a SAME-CHUNK trial (every close
     candidate really encoded once on one chunk, winner kept — see
-    ``encode_array(trial=True)``); the winner locks per (source,
-    column).  With ``choice_registry`` (a CodecChoiceRegistry actor
-    handle) one elected lead runs the trial for the whole job; without
-    it, the first big chunk per key in this process runs it."""
+    ``encode_array(trial=True)``).  With ``choice_cache`` the first
+    chunk per (source, column) in this process picks the codec — by
+    trial when it is big — and the winner locks for later chunks."""
     overrides = codec_overrides or {}
     encoded: list[EncodedColumn] = []
     info: dict[str, dict] = {}
 
     def enc(name: str, arr) -> None:
         codec = overrides.get(name, "auto")
-        is_auto = codec == "auto"
+        lock = codec == "auto" and choice_cache is not None
         key = (source_key, name)
-        big = len(arr) >= TRIAL_MIN_N
         trial = False
-        report = False
-        if is_auto and choice_cache is not None:
-            ent = choice_cache.get(key)
-            if isinstance(ent, str):
-                codec = ent  # locked (locally, or a cached registry winner)
-            elif big and choice_registry is not None:
-                import ray as _ray
-
-                got = _ray.get(choice_registry.ask.remote(key))
-                if got["winner"]:
-                    codec = choice_cache[key] = got["winner"]
-                elif got["lead"]:
-                    trial = report = True
-                # else: trial pending elsewhere — encode projected best
+        if lock:
+            if key in choice_cache:
+                codec = choice_cache[key]
             else:
-                trial = big  # no registry: first big chunk here trials
+                trial = len(arr) >= TRIAL_MIN_N
         table = fsst_cache.get(key) if fsst_cache is not None else None
         e = encode_array(arr, name, codec=codec, zstd=zstd, fsst_table=table, trial=trial)
-        if is_auto and choice_cache is not None and not isinstance(choice_cache.get(key), str):
-            if report:
-                import ray as _ray
-
-                choice_registry.set_winner.remote(key, e.codec)
-                choice_cache[key] = e.codec
-            elif trial or (not big and choice_registry is None):
-                # lock locally: trialed here, or a small-chunk key with no
-                # registry (re-running the selector per chunk buys nothing);
-                # with a registry, small chunks stay unlocked so a later
-                # big chunk can still run the real trial
-                choice_cache[key] = e.codec
+        if lock:
+            # re-running the selector per chunk buys nothing once chosen
+            choice_cache.setdefault(key, e.codec)
         if fsst_cache is not None and e.codec == "fsst" and key not in fsst_cache:
             t = e.params.get("c", {}).get("t")
             if t:
@@ -210,110 +170,6 @@ def encode_partition_table(
         else:
             enc(name, col)
     return encoded, info
-
-
-class ChunkEncoder:
-    """Map-side encode: batch -> encoded chunk rows, split by part_id.
-
-    With ``staged_dir`` set, payloads are written to one staged parquet
-    per call (one ROW GROUP per part_id, atomic tmp+rename) and only
-    (part_id, staged_path, row_group) metadata rows enter the shuffle —
-    the all-to-all then moves kilobytes regardless of data size."""
-
-    def __init__(
-        self,
-        codec_overrides: dict[str, str] | None = None,
-        zstd: bool = True,
-        staged_dir: str | None = None,
-        choice_registry=None,
-    ):
-        self.codec_overrides = codec_overrides or {}
-        self.zstd = zstd
-        self.staged_dir = staged_dir
-        self.choice_registry = choice_registry
-        self.fsst_cache: dict = {}  # (source, column) -> SymbolTable
-        self.choice_cache: dict = {}  # (source, column) -> codec name
-
-    def _stage(self, table: pa.Table) -> pa.Table:
-        os.makedirs(self.staged_dir, exist_ok=True)
-        fname = f"{uuid.uuid4().hex}.parquet"
-        tmp = os.path.join(self.staged_dir, f".tmp-{fname}")
-        final = os.path.join(self.staged_dir, fname)
-        pids = table.column("part_id").to_pylist()
-        srcs = table.column("source").to_pylist()
-        meta: dict[str, list] = {"part_id": [], "source": [], "staged_path": [], "row_group": []}
-        writer = pq.ParquetWriter(tmp, CONTAINER_SCHEMA, compression="none")
-        i, rg = 0, 0
-        while i < len(pids):
-            j = i
-            while j < len(pids) and pids[j] == pids[i]:
-                j += 1
-            writer.write_table(table.slice(i, j - i))
-            meta["part_id"].append(pids[i])
-            meta["source"].append(srcs[i])
-            meta["staged_path"].append(final)
-            meta["row_group"].append(rg)
-            rg, i = rg + 1, j
-        writer.close()
-        os.replace(tmp, final)
-        return pa.Table.from_pydict(meta, schema=STAGED_META_SCHEMA)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            out_schema = STAGED_META_SCHEMA if self.staged_dir else CONTAINER_SCHEMA
-            return pa.Table.from_pydict({k: [] for k in out_schema.names}, schema=out_schema)
-        batch = batch.combine_chunks().sort_by("part_id")
-        pids = batch.column("part_id")
-        # boundaries of equal-part_id runs (batch is sorted)
-        enc_ = pids.dictionary_encode()
-        if isinstance(enc_, pa.ChunkedArray):
-            enc_ = enc_.combine_chunks()
-        idx = enc_.indices.to_numpy(zero_copy_only=False)
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [len(idx)]))
-        cols: dict[str, list] = {k: [] for k in CONTAINER_SCHEMA.names}
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            sub = batch.slice(s, e - s)
-            part_id = pids[s].as_py()
-            source = sub.column("source")[0].as_py()
-            chunk_uid = uuid.uuid4().hex
-            encoded, _info = encode_partition_table(
-                sub.drop_columns(["part_id"]),
-                codec_overrides=self.codec_overrides,
-                zstd=self.zstd,
-                fsst_cache=self.fsst_cache,
-                choice_cache=self.choice_cache,
-                source_key=source,
-                choice_registry=self.choice_registry,
-            )
-            zone = _ntok_zone(sub)
-            for ec in encoded:
-                cols["part_id"].append(part_id)
-                cols["source"].append(source)
-                cols["chunk_uid"].append(chunk_uid)
-                cols["column"].append(ec.column)
-                cols["codec"].append(ec.codec)
-                cols["params"].append(_params_json(ec, zone))
-                cols["payload"].append(ec.payload)
-                cols["n_values"].append(ec.n_values)
-                cols["n_rows"].append(sub.num_rows)
-                cols["plain_bytes"].append(ec.plain_bytes)
-                cols["crc32"].append(ec.crc32)
-        table = pa.Table.from_pydict(cols, schema=CONTAINER_SCHEMA)
-        if self.staged_dir is not None:
-            return self._stage(table)
-        return table
-
-
-def encode_chunks_task(
-    batch: pa.Table,
-    codec_overrides: dict | None = None,
-    zstd: bool = True,
-    staged_dir: str | None = None,
-) -> pa.Table:
-    """Stateless task variant of ChunkEncoder for fixed (non-auto) map
-    codecs: no cross-batch state to keep, so plain tasks beat an actor
-    pool on startup latency and elasticity."""
-    return ChunkEncoder(codec_overrides=codec_overrides, zstd=zstd, staged_dir=staged_dir)(batch)
 
 
 # Staged-transport parquet options: BYTE_STREAM_SPLIT on the token
@@ -430,29 +286,19 @@ def _part_slices(t: pa.Table):
 _WRITER_CACHE: dict = {}
 
 
-def _cached_writer(out_dir, codec_overrides, zstd, compact_chunk_tokens, choice_registry):
-    # cache key covers every config knob: a later run to the same out_dir
-    # with different codecs/zstd must not reuse the first run's writer
-    # (the registry handle identifies the RUN — a fresh job's registry
-    # must not inherit a cached writer holding the dead one)
-    cache_key = (
-        out_dir,
-        tuple(sorted((codec_overrides or {}).items())),
-        zstd,
-        compact_chunk_tokens,
-        choice_registry._actor_id.hex() if choice_registry is not None else None,
-    )
-    w = _WRITER_CACHE.get(cache_key)
+def _cached_writer(out_dir, codec_overrides, zstd, compact_chunk_tokens, job_token):
+    # job_token is drawn once per encode pass, so one writer (its codec
+    # choices and FSST tables) serves one job: a later run, even to the
+    # same out_dir with the same config, starts from fresh caches
+    w = _WRITER_CACHE.get(job_token)
     if w is None:
         if len(_WRITER_CACHE) > 8:
             _WRITER_CACHE.clear()
-        w = _WRITER_CACHE[cache_key] = PartitionWriter(
+        w = _WRITER_CACHE[job_token] = PartitionWriter(
             out_dir,
             codec_overrides=codec_overrides,
             zstd=zstd,
-            compact_tokens=None,
             compact_chunk_tokens=compact_chunk_tokens,
-            choice_registry=choice_registry,
         )
     return w
 
@@ -460,10 +306,10 @@ def _cached_writer(out_dir, codec_overrides, zstd, compact_chunk_tokens, choice_
 def write_bucket_task(
     batch: pa.Table,
     out_dir: str,
+    job_token: str,
     codec_overrides: dict | None = None,
     zstd: bool = True,
     compact_chunk_tokens: int = 4_000_000,
-    choice_registry=None,
     restage_bytes: int = 256 << 20,
 ) -> pa.Table:
     """Reduce side of the bucketed staged shuffle: each input row is one
@@ -475,7 +321,7 @@ def write_bucket_task(
     metadata exchange) so memory stays bounded by the largest partition,
     not the bucket.  Every partition still gets its own atomic container
     + manifest line — resume granularity is unchanged."""
-    w = _cached_writer(out_dir, codec_overrides, zstd, compact_chunk_tokens, choice_registry)
+    w = _cached_writer(out_dir, codec_overrides, zstd, compact_chunk_tokens, job_token)
     if not hasattr(w, "_pf_cache"):
         w._pf_cache = {}
     out = []
@@ -546,8 +392,9 @@ def write_bucket_task(
 
 
 class PartitionWriter:
-    """Reduce-side actor: one partition's chunk rows -> atomic container
-    + manifest line (LAST) + one metrics row."""
+    """Reduce side of one partition: raw tokseq rows -> codec-encoded
+    chunks, atomic container + manifest line (LAST) + one metrics row.
+    Also the rewrite path of compact, delete/purge and redact."""
 
     METRICS_SCHEMA = pa.schema(
         [
@@ -568,33 +415,19 @@ class PartitionWriter:
         out_dir: str,
         codec_overrides: dict | None = None,
         zstd: bool = True,
-        compact_tokens: int | None = None,
         compact_chunk_tokens: int = 4_000_000,
-        choice_registry=None,
     ):
         self.dirs = JobDirs(out_dir).create()
         self.codec_overrides = codec_overrides or {}
         self.zstd = zstd
-        self.compact_tokens = compact_tokens
-        self.choice_registry = choice_registry
-        # Compacted chunks are re-split to ~this many tokens: decode-side
-        # working set stays bounded (~8 MiB buffers) while codec quality
-        # is preserved because dict/FSST state is shared across the
-        # slices via the actor caches and FOR/RLE are miniblock-local.
+        # Partitions are split into chunks of ~this many tokens: decode-
+        # side working set stays bounded (~8 MiB buffers) while codec
+        # quality is preserved because dict/FSST state is shared across
+        # the slices via the writer's caches and FOR/RLE are
+        # miniblock-local.
         self.compact_chunk_tokens = compact_chunk_tokens
         self.fsst_cache: dict = {}
         self.choice_cache: dict = {}
-
-    def _compact(self, group: pa.Table) -> pa.Table:
-        """Decode the transport chunks and re-encode as a few bounded
-        chunks, shedding per-map-chunk overhead (the chunked map phase
-        optimizes shuffle volume; compaction restores partition-level
-        compression quality with decode-friendly chunk sizes)."""
-        from .decoder import decode_container_table
-
-        part_id = group.column("part_id")[0].as_py()
-        source = group.column("source")[0].as_py()
-        return self._encode_decoded(decode_container_table(group), part_id, source)
 
     def _encode_decoded(self, decoded: pa.Table, part_id: str, source: str) -> pa.Table:
         """Raw tokseq rows of one partition -> final container chunk rows."""
@@ -616,7 +449,6 @@ class PartitionWriter:
                 fsst_cache=self.fsst_cache,
                 choice_cache=self.choice_cache,
                 source_key=source,
-                choice_registry=self.choice_registry,
             )
             chunk_uid = uuid.uuid4().hex
             zone = _ntok_zone(sub)
@@ -633,27 +465,6 @@ class PartitionWriter:
                 cols["plain_bytes"].append(ec.plain_bytes)
                 cols["crc32"].append(ec.crc32)
         return pa.Table.from_pydict(cols, schema=CONTAINER_SCHEMA)
-
-    def _load_staged(self, meta: pa.Table) -> pa.Table:
-        """Fetch this partition's chunk rows from the staged map-output
-        files (one targeted row-group read each; parquet footer prunes
-        everything else).  Open files are cached per actor — each staged
-        file serves every partition it contains."""
-        if not hasattr(self, "_pf_cache"):
-            self._pf_cache: dict = {}
-        tables = []
-        for path, rg in zip(
-            meta.column("staged_path").to_pylist(), meta.column("row_group").to_pylist()
-        ):
-            pf = self._pf_cache.get(path)
-            if pf is None:
-                if len(self._pf_cache) > 512:
-                    for old in self._pf_cache.values():
-                        old.close()
-                    self._pf_cache.clear()
-                pf = self._pf_cache[path] = pq.ParquetFile(path)
-            tables.append(pf.read_row_group(int(rg)))
-        return pa.concat_tables(tables).combine_chunks()
 
     def _digest(self, decoded: pa.Table) -> dict:
         """Content digest of the partition's rows as seen at encode time
@@ -689,40 +500,7 @@ class PartitionWriter:
         group = self._encode_decoded(decoded, part_id, source)
         return self._write_container(group, digest, t0, zones=zones)
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
-        if group.num_rows == 0:
-            return pa.Table.from_pydict({k: [] for k in self.METRICS_SCHEMA.names}, schema=self.METRICS_SCHEMA)
-        encoded_final = False
-        digest = None
-        zones = None
-        if "staged_path" in group.column_names:
-            part_id = group.column("part_id")[0].as_py()
-            source = group.column("source")[0].as_py()
-            loaded = self._load_staged(group)
-            if "payload" in loaded.column_names:
-                group = loaded  # transport-encoded chunk rows
-            else:
-                # raw staged rows: encode exactly once, right here
-                digest = self._digest(loaded)
-                zones = self._zones(loaded)
-                group = self._encode_decoded(loaded, part_id, source)
-                encoded_final = True
-        group = group.combine_chunks()
-        is_tok = pc.equal(group.column("column"), "tokens")
-        tok_total = int(pc.sum(pc.if_else(is_tok, group.column("n_values"), 0)).as_py() or 0)
-        if not encoded_final and (self.compact_tokens is None or tok_total <= self.compact_tokens):
-            from .decoder import decode_container_table
-
-            part_id = group.column("part_id")[0].as_py()
-            source = group.column("source")[0].as_py()
-            decoded = decode_container_table(group)
-            digest = self._digest(decoded)
-            zones = self._zones(decoded)
-            group = self._encode_decoded(decoded, part_id, source)
-        return self._write_container(group, digest, t0, zones=zones)
-
-    def _write_container(self, group: pa.Table, digest, t0: float, zones: dict | None = None) -> pa.Table:
+    def _write_container(self, group: pa.Table, digest: dict, t0: float, zones: dict) -> pa.Table:
         part_id = group.column("part_id")[0].as_py()
         tmp = os.path.join(self.dirs.tmp, f"{part_id}-{uuid.uuid4().hex}.parquet")
         # payloads are codec-compressed already; container stays raw.
@@ -762,9 +540,8 @@ class PartitionWriter:
             "columns": per_col,
             "container_bytes": int(os.path.getsize(self.dirs.container_path(part_id))),
             "wall_s": round(time.perf_counter() - t0, 6),
+            "digest": digest,
         }
-        if digest is not None:
-            record["digest"] = digest
         if zones:
             record["zones"] = zones
         write_manifest_entry(self.dirs, part_id, record)  # LAST: marks completion

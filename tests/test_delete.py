@@ -31,7 +31,7 @@ def encoded(ray_session, sf_dir, tmp_path):
     out = str(tmp_path / "enc")
     run_encode(
         lambda: tokseq_dataset(sf_dir),
-        EncodeConfig(out_dir=out, target_partition_tokens=5_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=5_000),
     ).materialize()
     return out
 
@@ -163,7 +163,7 @@ def test_compaction_refuses_tombstoned_partitions(ray_session, sf_dir, tmp_path)
     # compaction planner has real groups to form
     run_encode(
         lambda: tokseq_dataset(sf_dir),
-        EncodeConfig(out_dir=out, target_partition_tokens=500, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=500),
     ).materialize()
     groups_before = plan_compaction(out, target_tokens=10_000_000)
     assert groups_before, "fixture must produce compactable groups"
@@ -258,7 +258,7 @@ def test_delete_refuses_unsealed_generation(ray_session, sf_dir, tmp_path):
     out = str(tmp_path / "enc")
     run_encode_files(
         [shard],
-        EncodeConfig(out_dir=out, target_partition_tokens=5_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=5_000),
     ).materialize()
     # simulate a crash mid-ingest: mark the generation unsealed
     plan_path = os.path.join(out, "plan.json")

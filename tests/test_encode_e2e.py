@@ -22,7 +22,7 @@ def out_dir(tmp_path):
 
 def test_encode_verify_roundtrip_sf0001(ray_session, sf_dir, out_dir):
     factory = lambda: tokseq_dataset(sf_dir)
-    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000)
     metrics = run_encode(factory, cfg).to_pandas()
     assert metrics["n_rows"].sum() == 500
     tok_total = int(tokseq_table(sf_dir).column("n_tok").to_pandas().sum())
@@ -38,13 +38,31 @@ def test_encode_verify_roundtrip_sf0001(ray_session, sf_dir, out_dir):
     assert set(entries) == set(metrics["part_id"])
 
 
+def test_encode_leaves_no_actor_alive(ray_session, sf_dir, tmp_path):
+    """Codec choice is local to each worker process: a finished
+    run_encode with auto codecs leaves no actor of its own alive."""
+    import ray._private.state as ray_state  # list_actors needs the dashboard
+
+    def alive():
+        # a leaked actor may still be PENDING_CREATION when the job ends
+        return sum(1 for a in ray_state.actors().values() if a["State"] != "DEAD")
+
+    factory = lambda: tokseq_dataset(sf_dir)
+    cfg = lambda name: EncodeConfig(out_dir=str(tmp_path / name), target_partition_tokens=5_000)
+    # the warm-up run also starts Ray Data's session-long helper actors
+    run_encode(factory, cfg("warm")).materialize()
+    before = alive()
+    run_encode(factory, cfg("enc")).materialize()
+    assert alive() <= before
+
+
 def test_size_bound_vs_reference_proxy_sf01(ray_session, out_dir):
     """North-rule bound (BASELINE.md): total encoded bytes <= pyarrow
     parquet zstd+dict on the identical table, at realistic partition
     sizes (the 0.720 B/token reference proxy, sf0.1)."""
     sf = "/root/testdata/sf0.1"
     factory = lambda: tokseq_dataset(sf)
-    cfg = EncodeConfig(out_dir=out_dir, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir)
     metrics = run_encode(factory, cfg).to_pandas()
 
     t = tokseq_table(sf)
@@ -58,7 +76,7 @@ def test_size_bound_vs_reference_proxy_sf01(ray_session, out_dir):
 
 def test_resume_skips_completed(ray_session, sf_dir, out_dir):
     factory = lambda: tokseq_dataset(sf_dir)
-    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000)
     run_encode(factory, cfg).materialize()
     entries1 = read_manifest_entries(out_dir)
     assert len(entries1) > 2
@@ -81,7 +99,7 @@ def test_skew_split(ray_session, out_dir):
     """F3: hot source split into multiple bounded partitions (§5.2.5)."""
     factory = lambda: synth_dataset(4000, num_blocks=8, seed=7)
     target = 50_000
-    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=target, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=target)
     metrics = run_encode(factory, cfg).to_pandas()
     assert metrics["n_rows"].sum() == 4000
 
@@ -468,7 +486,7 @@ def test_resume_refuses_changed_input(ray_session, sf_dir, out_dir, tmp_path):
     os.makedirs(small)
     t = pq.read_table(f"{sf_dir}/documents.parquet")
     pq.write_table(t.slice(0, 400), f"{small}/documents.parquet")
-    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000)
     run_encode(lambda: tokseq_dataset(small), cfg).materialize()
     assert len(read_manifest_entries(out_dir)) > 0
 
@@ -485,7 +503,7 @@ def test_resume_refuses_changed_input(ray_session, sf_dir, out_dir, tmp_path):
     # --no-resume rebuilds the out dir for the grown input
     shutil.rmtree(out_dir)
     cfg2 = EncodeConfig(
-        out_dir=out_dir, target_partition_tokens=5_000, encode_concurrency=(1, 4), resume=False
+        out_dir=out_dir, target_partition_tokens=5_000, resume=False
     )
     run_encode(lambda: tokseq_dataset(grown), cfg2).materialize()
     v = run_verify(lambda: tokseq_dataset(grown), out_dir).to_pandas()
@@ -504,12 +522,12 @@ def test_no_resume_rebuild_clears_stale_partitions(ray_session, sf_dir, out_dir,
 
     # tiny target -> many buckets per source, so the rebuild (bigger
     # target, fewer docs) has strictly fewer part_ids to leave stale
-    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=500, encode_concurrency=(1, 4))
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=500)
     run_encode(lambda: tokseq_dataset(big), cfg).materialize()
     ids_big = set(read_manifest_entries(out_dir))
 
     cfg2 = EncodeConfig(
-        out_dir=out_dir, target_partition_tokens=50_000, encode_concurrency=(1, 4), resume=False
+        out_dir=out_dir, target_partition_tokens=50_000, resume=False
     )
     run_encode(lambda: tokseq_dataset(small), cfg2).materialize()
     ids_small = set(read_manifest_entries(out_dir))

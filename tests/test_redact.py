@@ -142,6 +142,47 @@ def test_redact_invalidates_sidecars_and_annotate_refills(store):
     assert cov["ann/token_stats"]["partitions"] == cov["ann/token_stats"]["of"]
 
 
+def test_redact_failed_rewrite_leaves_no_stale_sidecar(store):
+    """A rewrite that raises inside the Ray worker must not leave the
+    matched partition's ann/ and index/ sidecars behind: they describe
+    content the redaction is replacing, so they are dropped before the
+    rewrite starts and the gap-fill jobs refill them."""
+    from fileconvert_ray.pipelines.redact_job import run_redact
+    from fileconvert_ray.stages.decoder import read_partition
+    from fileconvert_ray.state.manifest import JobDirs, read_manifest_entries
+
+    ref = set(_reference_positions(PHRASE))
+    dirs = JobDirs(store)
+    entries = read_manifest_entries(store)
+
+    def doc_ids(pid):
+        t = read_partition(dirs.container_path(pid))
+        return {str(d) for d in t.column("doc_id").to_pylist()}
+
+    matched = sorted(pid for pid in entries if doc_ids(pid) & ref)
+    assert matched
+    pid = matched[0]
+    source = entries[pid]["source"]
+    assert [p for p in matched if entries[p]["source"] == source] == [pid]
+
+    def sidecars():
+        return sorted(
+            os.path.join(root, name)
+            for root in ("ann", "index")
+            for name in os.listdir(os.path.join(store, root))
+            if os.path.exists(os.path.join(store, root, name, f"{pid}.parquet"))
+        )
+
+    assert sidecars() == ["ann/token_stats", "index/token_bloom"]
+    # a plain file where the writer's tmp/ dir belongs: the rewrite's
+    # PartitionWriter raises in the worker, after the scan matched
+    shutil.rmtree(dirs.tmp)
+    open(dirs.tmp, "w").close()
+    with pytest.raises(Exception):
+        run_redact(store, [PHRASE], sources=[source])
+    assert sidecars() == []
+
+
 def test_redact_detokenizes_to_unk_and_verify_manifest_green(store, tmp_path):
     import pyarrow.parquet as pq
 

@@ -1,55 +1,12 @@
-"""Non-default shuffle/transport variants stay correct (SURVEY.md §8).
+"""The staged external shuffle's map side keeps its metadata honest
+(SURVEY.md §8).
 
-The default encode path is the staged-raw external shuffle; these pin
-the two retained variants: the object-store payload shuffle
-(`staged_shuffle=False`) and transport-encoded staging
-(`ChunkEncoder(staged_dir=...)` feeding `PartitionWriter`).
+`stage_raw_task` records one (bucket, staged_path, row_group) row per
+row group it writes; the reduce side trusts those indices, so they must
+match the file's actual row groups even when pyarrow splits a slice.
 """
 
 import pyarrow as pa
-
-from fileconvert_ray.pipelines.encode_job import EncodeConfig, run_encode
-from fileconvert_ray.pipelines.verify_job import run_verify
-from fileconvert_ray.sources.tokseq import synth_rows, tokseq_dataset
-from fileconvert_ray.stages.encoder import ChunkEncoder, PartitionWriter
-from fileconvert_ray.stages.decoder import read_partition
-
-
-def test_object_store_shuffle_roundtrip(ray_session, sf_dir, tmp_path):
-    out = str(tmp_path / "objstore")
-    factory = lambda: tokseq_dataset(sf_dir)
-    cfg = EncodeConfig(
-        out_dir=out, target_partition_tokens=5_000, staged_shuffle=False,
-        encode_concurrency=(1, 2), write_concurrency=(1, 2),
-    )
-    metrics = run_encode(factory, cfg).to_pandas()
-    assert metrics["n_rows"].sum() == 500
-    v = run_verify(factory, out, mode="hash").to_pandas()
-    assert v["ok"].all()
-
-
-def test_transport_staged_chunks_roundtrip(tmp_path):
-    """ChunkEncoder staging (transport-encoded row groups) decodes
-    bit-identically through PartitionWriter's payload branch."""
-    out = str(tmp_path / "transport")
-    batch = synth_rows(0, 400)
-    batch = batch.append_column("part_id", pa.array(["p0"] * 400))
-    enc = ChunkEncoder(
-        codec_overrides={"doc_id": "plain", "source": "dict", "n_tok": "plain", "tokens": "plain"},
-        staged_dir=str(tmp_path / "transport-staged"),
-    )
-    meta = enc(batch)
-    assert set(meta.column_names) == {"part_id", "source", "staged_path", "row_group"}
-    writer = PartitionWriter(out, compact_chunk_tokens=50_000)
-    m = writer(meta)
-    assert m.column("n_rows")[0].as_py() == 400
-    decoded = read_partition(writer.dirs.container_path("p0")).sort_by("doc_id")
-    orig = batch.drop_columns(["part_id"]).sort_by("doc_id")
-    assert decoded.num_rows == 400
-    for col in orig.column_names:
-        assert decoded.column(col).combine_chunks().equals(
-            orig.column(col).combine_chunks()
-        ), col
 
 
 def test_stage_raw_row_group_indices_survive_pyarrow_split(tmp_path):

@@ -50,7 +50,7 @@ def corpus(ray_session, sf_dir, tmp_path):
     # preserving compaction test below has real groups to merge
     run_encode_files(
         [s1, s2],
-        EncodeConfig(out_dir=out, target_partition_tokens=1_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=1_000),
     ).materialize()
     return out, t, str(base)
 
@@ -160,7 +160,7 @@ def test_upsert_refuses_non_generational(ray_session, sf_dir, tmp_path):
     out = str(tmp_path / "legacy")
     run_encode(
         lambda: tokseq_dataset(sf_dir),
-        EncodeConfig(out_dir=out, target_partition_tokens=5_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=5_000),
     ).materialize()
     with pytest.raises(RuntimeError, match="generational"):
         run_upsert(out, [f"{sf_dir}/documents.parquet"])
@@ -190,7 +190,7 @@ def test_snapshot_read_pins_generation(corpus, tmp_path):
     prior = sorted(glob.glob(os.path.join(base, "*.parquet")))
     run_encode_files(
         prior + [shard],
-        EncodeConfig(out_dir=out, target_partition_tokens=5_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=5_000),
     ).materialize()
 
     full = decode_dataset(out).count()
@@ -223,7 +223,7 @@ def test_snapshot_read_pins_generation(corpus, tmp_path):
     pq.write_table(new2, shard2)
     run_encode_files(
         prior + [shard, shard2],
-        EncodeConfig(out_dir=out, target_partition_tokens=5_000, encode_concurrency=(1, 4)),
+        EncodeConfig(out_dir=out, target_partition_tokens=5_000),
     ).materialize()
     mx = run_compact(out, target_tokens=10_000_000, preserve_generations=False).to_pandas()
     assert len(mx) > 0, "cross-gen compaction must form groups"
