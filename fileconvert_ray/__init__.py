@@ -15,7 +15,7 @@ Layout:
 - ``codecs/``    pure numpy/pyarrow codec kernels + registry (SURVEY §2.2 E15)
 - ``selector``   per-chunk codec auto-selector (E4)
 - ``sources/``   tokseq fixture generators, CSV/Parquet/ORC conversion IO (E1/E2, R1-R12, R4)
-- ``stages/``    partition assignment, encoder actor, decoder (E3/E5/E9)
+- ``stages/``    partition assignment, staged-shuffle encoder, decoder (E3/E5/E9)
 - ``state/``     manifest + resume (E6/E7)
 - ``pipelines/`` encode job, decode-verify job, csv<->parquet convert (§3.2)
 - ``functions/`` training-data ops: dedup, text stats, similarity, multimodal

@@ -85,6 +85,77 @@ def _in_sorted(sorted_keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return sorted_keys[idx] == vals
 
 
+CUM_USER_BUCKETS = 64
+WINDOW_BUCKET_TARGET_BYTES = 256 << 20  # per-bucket map_groups task budget
+
+
+def _window_buckets(ds) -> int:
+    """Bucket count for ``_segmented``: a FIXED count (the old
+    CUM_USER_BUCKETS=64) means corpus/64 bytes per map_groups task —
+    ~1.5 TB at 100 TB.  Size the count from the dataset's metadata byte
+    estimate (no execution for parquet reads) so each bucket's sort
+    stays within one worker's heap; results are bucket-count-invariant
+    (each bucket holds WHOLE key partitions), only task granularity
+    changes.  Floor 64 keeps small inputs wide enough to parallelize."""
+    try:
+        nbytes = ds.size_bytes() or 0
+    except Exception:
+        nbytes = 0
+    return max(CUM_USER_BUCKETS, int(nbytes // WINDOW_BUCKET_TARGET_BYTES) + 1)
+
+
+def _segmented(ds, key: str, order, kernel):
+    """The one per-key window / sequence skeleton (SQL ``PARTITION BY
+    key ORDER BY order``).
+
+    Rows hash on splitmix64(``key``) into ``_window_buckets(ds)``
+    buckets, so the single ``groupby(bucket).map_groups`` exchange pays
+    one Python call per BUCKET, not per key.  A bucket holds whole keys,
+    so results do not depend on the bucket count.  Each bucket is sorted
+    once by ``(key, *order)`` — an order column written ``"-col"`` sorts
+    descending — and ``kernel(sorted_table, starts)`` gets the sorted
+    rows plus the int64 first row of every key segment.  Kernels do
+    their per-key work as vectorized segment math (no per-key loop) and
+    never see an empty table.  A key's rows are the irreducible grain,
+    like any SQL window partition, so the hottest key bounds task
+    memory.
+
+    Pass the raw ``read_parquet`` Dataset: ``_window_buckets`` reads
+    ``size_bytes()``, which comes from metadata there but executes the
+    whole upstream pipeline on a mapped Dataset."""
+    from ..util.hashing import splitmix64
+
+    nb = np.uint64(_window_buckets(ds))
+    sort_keys = [(key, "ascending")] + [
+        (c[1:], "descending") if c.startswith("-") else (c, "ascending") for c in order
+    ]
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
+        b = (splitmix64(k.view(np.uint64)) % nb).view(np.int64)
+        return batch.append_column("_seg_bucket", pa.array(b))
+
+    def per_bucket(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return pa.table({})
+        t = group.drop_columns(["_seg_bucket"])
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        k = t.column(key).to_numpy()
+        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        return kernel(t, starts.astype(np.int64))
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("_seg_bucket")
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )
+
+
+def _segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """Segment index of each of ``n`` rows, given the segment starts."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
 # ----------------------------------------------------------- tokseq
 
 
@@ -1496,54 +1567,42 @@ def q_heavy_hitter_tokens(sf_dir: str):
 def q_events_rolling_avg(sf_dir: str):
     """Per-row time-RANGE windowed aggregate: for every event, the mean
     `value` over that user's events in the trailing 10 minutes
-    (inclusive of ts-peers, SQL RANGE semantics).  Shape: one
-    groupby(user) shuffle; per group the window bounds are two
-    searchsorted calls against the sorted ts array and the sum is a
-    prefix-sum subtraction — O(n log n) per group, no per-row loops, no
-    window materialization.  Sums are exact int64 cents on BOTH sides
-    (values are 2-decimal; float accumulation-order differences would
-    otherwise make round(,6) flap on boundary cases) — the same
+    (inclusive of ts-peers, SQL RANGE semantics).  Per user segment the
+    window bounds come from searchsorted over one ascending
+    (segment, ts-rank) key, so a bound never crosses a user; the sum is
+    a prefix-sum subtraction — no per-row loops, no window
+    materialization.  Sums are exact int64 cents on BOTH sides (values
+    are 2-decimal; float accumulation-order differences would otherwise
+    make round(,6) flap on boundary cases) — the same
     int-sums-then-one-division trick as per_source_stats.  Oracle:
     RANGE BETWEEN window SQL with the identical cents cast."""
     import ray.data as rd
 
     W = 10 * 60 * 1_000_000  # 10 min in us
 
-    schema = pa.schema([
-        ("event_id", pa.int64()), ("user_id", pa.int64()),
-        ("ts", pa.timestamp("us")), ("n_win", pa.int64()),
-        ("roll_avg", pa.float64()),
-    ])
-
-    def roll(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in schema}, schema=schema)
-        g = group.sort_by("ts")
-        ts = pc.cast(g.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        val = g.column("value").to_numpy(zero_copy_only=False)
-        cents = np.round(val * 100.0).astype(np.int64)
+    def roll(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = pc.cast(t.column("ts"), pa.int64()).to_numpy()
+        cents = np.round(t.column("value").to_numpy() * 100.0).astype(np.int64)
         cum = np.concatenate(([0], np.cumsum(cents)))
-        lo = np.searchsorted(ts, ts - W, side="left")
-        hi = np.searchsorted(ts, ts, side="right")  # ts-peers included
+        # ts -> dense rank is exact and monotone, so segment * n_ranks +
+        # rank orders rows like (user, ts) without int64 overflow
+        uts = np.unique(ts)
+        seg = _segment_ids(starts, len(ts)) * len(uts)
+        key = seg + np.searchsorted(uts, ts)
+        lo = np.searchsorted(key, seg + np.searchsorted(uts, ts - W), side="left")
+        hi = np.searchsorted(key, key, side="right")  # ts-peers included
         n = hi - lo
-        s = cum[hi] - cum[lo]
-        avg = s / (100.0 * n)
+        avg = (cum[hi] - cum[lo]) / (100.0 * n)
         avg = np.floor(avg * 1e6 + 0.5) / 1e6  # half-away, DuckDB round() parity
-        return pa.Table.from_arrays(
-            [
-                g.column("event_id"),
-                g.column("user_id"),
-                g.column("ts"),
-                pa.array(n.astype(np.int64)),
-                pa.array(avg),
-            ],
-            schema=schema,
-        )
+        return pa.table({
+            "event_id": t.column("event_id"), "user_id": t.column("user_id"),
+            "ts": t.column("ts"), "n_win": n.astype(np.int64), "roll_avg": avg,
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
-    return ds.groupby("user_id").map_groups(roll, batch_format="pyarrow")
+    return _segmented(ds, "user_id", ["ts"], roll)
 
 
 def q_bloom_orders_filter(sf_dir: str):
@@ -2212,42 +2271,35 @@ def q_pack_sequences(sf_dir: str):
 def q_user_sessions(sf_dir: str):
     """Gap-based sessionization: per user, a new session starts when
     the gap since the previous event exceeds 30 minutes; returns one
-    row per session with bounds and event count.  Shape: one groupby
-    shuffle of (user_id, ts) pairs; the per-user session scan is a
-    vectorized diff + cumsum.  Oracle: lag + cumulative sum window SQL."""
+    row per session with bounds and event count.  A session head is a
+    gap flag OR-ed with the user change; the scan is a vectorized diff
+    + cumsum.  Oracle: lag + cumulative sum window SQL."""
     import ray.data as rd
 
-    GAP = 30 * 60 * 1_000_000  # us
-
-    def sessions(group: pa.Table) -> pa.Table:
-        schema = pa.schema([
-            ("user_id", pa.int64()), ("session_no", pa.int64()),
-            ("session_start", pa.timestamp("us")), ("session_end", pa.timestamp("us")),
-            ("n_events", pa.int64()),
-        ])
-        if group.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in schema}, schema=schema)
-        g = group.sort_by("ts")
-        ts = pc.cast(g.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        new = np.ones(len(ts), dtype=bool)
-        new[1:] = np.diff(ts) > GAP
-        sess = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(ts)])) - 1
-        uid = g.column("user_id")[0].as_py()
-        return pa.Table.from_pydict(
-            {
-                "user_id": [uid] * len(starts),
-                "session_no": list(range(1, len(starts) + 1)),
-                "session_start": ts[starts].view("datetime64[us]"),
-                "session_end": ts[ends].view("datetime64[us]"),
-                "n_events": (ends - starts + 1).astype(np.int64),
-            },
-            schema=schema,
-        )
+    def sessions(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        heads, no, n = _session_heads(t, starts)
+        ts = t.column("ts")
+        return pa.table({
+            "user_id": t.column("user_id").take(heads), "session_no": no,
+            "session_start": ts.take(heads), "session_end": ts.take(heads + n - 1),
+            "n_events": n,
+        })
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pyarrow")
+    return _segmented(ds, "user_id", ["ts"], sessions)
+
+
+def _session_heads(t: pa.Table, starts: np.ndarray):
+    """30-minute-gap sessions over ``_segmented`` user segments: (first
+    row, 1-based number within the user, event count) per session."""
+    ts = pc.cast(t.column("ts"), pa.int64()).to_numpy()
+    new = np.ones(len(ts), dtype=bool)
+    new[1:] = np.diff(ts) > 30 * 60 * 1_000_000  # us
+    new[starts] = True
+    heads = np.flatnonzero(new)
+    rank = np.cumsum(new)
+    no = rank[heads] - rank[starts][_segment_ids(starts, len(ts))[heads]] + 1
+    return heads, no, np.diff(np.append(heads, len(ts)))
 
 
 def q_top_events_per_user(sf_dir: str):
@@ -2883,31 +2935,31 @@ def q_user_funnel(sf_dir: str):
     """Strict-order conversion funnel per user: stage 1 = viewed,
     2 = clicked AFTER first view, 3 = purchased AFTER that click (each
     step's clock starts at the previous step's first qualifying event).
-    One groupby(user) shuffle; per group the three steps are min-scans
-    over the type-partitioned timestamp arrays — constant work per
-    user, vectorized within.  Oracle: three chained min-join CTEs."""
+    Each step is one masked segment minimum over the user segments —
+    constant vectorized work per step.  Oracle: three chained min-join
+    CTEs."""
     import ray.data as rd
 
-    out_schema = pa.schema([("user_id", pa.int64()), ("stage", pa.int64())])
+    NONE = np.iinfo(np.int64).max  # no qualifying event
 
-    def funnel(group: pa.Table) -> pa.Table:
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        et = group.column("event_type").to_numpy(zero_copy_only=False)
-        stage = 0
-        vt = ts[et == "view"]
-        if len(vt):
-            stage, t0 = 1, vt.min()
-            ct = ts[(et == "click") & (ts > t0)]
-            if len(ct):
-                stage, t1 = 2, ct.min()
-                if ((et == "purchase") & (ts > t1)).any():
-                    stage = 3
-        uid = group.column("user_id")[0].as_py()
-        return pa.Table.from_pydict({"user_id": [uid], "stage": [stage]}, schema=out_schema)
+    def funnel(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = pc.cast(t.column("ts"), pa.int64()).to_numpy()
+        et = t.column("event_type")
+        seg = _segment_ids(starts, len(ts))
+
+        def first(typ: str, after: np.ndarray) -> np.ndarray:
+            hit = pc.equal(et, typ).to_numpy() & (ts > after[seg])
+            return np.minimum.reduceat(np.where(hit, ts, NONE), starts)
+
+        t0 = first("view", np.full(len(starts), np.iinfo(np.int64).min))
+        t1 = first("click", t0)
+        t2 = first("purchase", t1)
+        stage = (t0 < NONE).astype(np.int64) + (t1 < NONE) + (t2 < NONE)
+        return pa.table({"user_id": t.column("user_id").take(starts), "stage": stage})
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
-    return ev.groupby("user_id").map_groups(funnel, batch_format="pyarrow")
+    return _segmented(ev, "user_id", [], funnel)
 
 
 def q_events_sliding(sf_dir: str):
@@ -5423,106 +5475,59 @@ def q_top_trigrams_per_source(sf_dir: str):
 def q_session_stats(sf_dir: str):
     """Per-session aggregates (event count + exact value cents) on top
     of 30-minute-gap sessionization — the session-level fact table a
-    product pipeline joins against.  One groupby(user) exchange; the
-    per-user scan is sort + diff + cumsum + one reduceat for the value
-    sums (int64 cents, so SQL parity is exact)."""
+    product pipeline joins against.  Sessions as in user_sessions, then
+    one reduceat for the value sums (int64 cents, so SQL parity is
+    exact)."""
     import ray.data as rd
 
-    GAP = 30 * 60 * 1_000_000  # us
-
-    schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("session_no", pa.int64()),
-            ("n_events", pa.int64()),
-            ("value_cents", pa.int64()),
-        ]
-    )
-
-    def sessions(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in schema}, schema=schema)
-        g = group.sort_by([("ts", "ascending"), ("event_id", "ascending")])
-        ts = pc.cast(g.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        v = g.column("value").to_numpy(zero_copy_only=False)
+    def sessions(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        heads, no, n = _session_heads(t, starts)
+        v = t.column("value").to_numpy()
         cents = (np.floor(np.abs(v) * 100 + 0.5) * np.sign(v)).astype(np.int64)
-        new = np.ones(len(ts), dtype=bool)
-        new[1:] = np.diff(ts) > GAP
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(ts)]))
-        sums = np.add.reduceat(cents, starts)
-        uid = g.column("user_id")[0].as_py()
-        return pa.Table.from_pydict(
-            {
-                "user_id": [uid] * len(starts),
-                "session_no": list(range(1, len(starts) + 1)),
-                "n_events": (ends - starts).astype(np.int64),
-                "value_cents": sums,
-            },
-            schema=schema,
-        )
+        return pa.table({
+            "user_id": t.column("user_id").take(heads), "session_no": no,
+            "n_events": n, "value_cents": np.add.reduceat(cents, heads),
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "value"]
     )
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pyarrow")
+    return _segmented(ds, "user_id", ["ts", "event_id"], sessions)
 
 
 def q_event_transitions(sf_dir: str):
     """Markov transition counts over per-user event sequences (the
     behavioral bigram model): consecutive event-type pairs within each
-    user's (ts, event_id)-ordered stream, counted corpus-wide.  One
-    groupby(user) exchange; per group the pair extraction is a sort +
-    one vectorized shift (no Python pair loops); the final count
-    aggregate moves O(types^2) rows."""
+    user's (ts, event_id)-ordered stream, counted corpus-wide.  The
+    pairs are one shift masked at user boundaries (no Python pair
+    loops); the final count aggregate moves O(types^2) rows."""
     import ray.data as rd
 
-    def pairs(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {
-                "t_from": pa.array([], type=pa.string()),
-                "t_to": pa.array([], type=pa.string()),
-                "cnt": pa.array([], type=pa.int64()),
-            }
-        )
-        if group.num_rows < 2:
-            return empty
-        g = group.sort_by([("ts", "ascending"), ("event_id", "ascending")])
-        et = g.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        denc = et.dictionary_encode()
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    def pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        codes, labels = _dict_codes(t.column("event_type"))
+        valid = np.ones(max(len(codes) - 1, 0), dtype=bool)
+        valid[starts[1:] - 1] = False  # no pair across a user change
         key = (codes[:-1] << np.int64(32)) | codes[1:]
-        uniq, cnt = np.unique(key, return_counts=True)
-        labels = np.asarray(denc.dictionary.to_pylist(), dtype=object)
-        return pa.Table.from_pydict(
-            {
-                "t_from": pa.array(labels[(uniq >> np.int64(32)).astype(np.int64)], type=pa.string()),
-                "t_to": pa.array(labels[(uniq & np.int64(0xFFFFFFFF)).astype(np.int64)], type=pa.string()),
-                "cnt": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        uniq, cnt = np.unique(key[valid], return_counts=True)
+        labels = np.asarray(labels, dtype=object)
+        return pa.table({
+            "t_from": pa.array(labels[uniq >> np.int64(32)], type=pa.string()),
+            "t_to": pa.array(labels[uniq & np.int64(0xFFFFFFFF)], type=pa.string()),
+            "cnt": cnt.astype(np.int64),
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
     return _sum_groupby(
-        ds.groupby("user_id").map_groups(pairs, batch_format="pyarrow"),
-        ["t_from", "t_to"], ["cnt"],
+        _segmented(ds, "user_id", ["ts", "event_id"], pairs), ["t_from", "t_to"], ["cnt"]
     )
 
 
 def _user_paths_ds(sf_dir: str, max_steps: int | None):
     """Per-user ordered event path (order-sensitive grouped string
-    concatenation — the clickstream "path analysis" shape), on the
-    same hash-bucket + lexsort + segment pattern as the other window
-    ops (round-4 verdict #3): users hash into _window_buckets groups
-    so the groupby pays one Python call per BUCKET, not per user;
-    inside a bucket one np.lexsort orders (user, ts, event_id) and ALL
-    users' paths fall out of one ``pc.binary_join`` over a segment
+    concatenation — the clickstream "path analysis" shape): ALL users'
+    paths in a bucket fall out of one ``pc.binary_join`` over a segment
     ListArray — no per-user join loop.
 
     ``max_steps`` caps each path at its first K events (round-4
@@ -5530,63 +5535,26 @@ def _user_paths_ds(sf_dir: str, max_steps: int | None):
     event count) wide); n_events still reports the true count."""
     import ray.data as rd
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-    )
-    nb = _window_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        from ..util.hashing import splitmix64
-
-        b = (splitmix64(uid.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return batch.append_column("_ub", pa.array(b))
-
-    schema = pa.schema(
-        [("user_id", pa.int64()), ("n_events", pa.int64()), ("path", pa.string())]
-    )
-
-    def bucket_paths(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in schema}, schema=schema)
-        uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        et = group.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        order = np.lexsort((eid, ts, uid))
-        uid_s = uid[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(uid_s)) + 1))
-        ends = np.concatenate((starts[1:], [len(uid_s)]))
-        n_events = ends - starts
-        users = uid_s[starts]
+    def paths(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n_events = np.diff(np.append(starts, t.num_rows))
+        et = t.column("event_type").combine_chunks()
+        offsets = np.append(starts, t.num_rows)
         if max_steps is not None:
             # keep only each segment's first K rows (rank-in-segment
             # mask), then re-derive the now-shorter segment offsets
-            rank = np.arange(len(uid_s)) - np.repeat(starts, n_events)
-            order = order[rank < max_steps]
-            kept = np.minimum(n_events, max_steps)
-            ends = np.cumsum(kept)
-            starts = ends - kept
-        et_s = et.take(pa.array(order, type=pa.int64()))
-        offsets = np.concatenate((starts, ends[-1:])).astype(np.int64)
-        lists = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), et_s)
-        path = pc.binary_join(lists, "->")
-        return pa.Table.from_arrays(
-            [
-                pa.array(users, type=pa.int64()),
-                pa.array(n_events, type=pa.int64()),
-                path,
-            ],
-            schema=schema,
-        )
+            rank = np.arange(t.num_rows) - np.repeat(starts, n_events)
+            et = et.filter(pa.array(rank < max_steps))
+            offsets = np.concatenate(([0], np.cumsum(np.minimum(n_events, max_steps))))
+        lists = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), et)
+        return pa.table({
+            "user_id": t.column("user_id").take(starts),
+            "n_events": n_events, "path": pc.binary_join(lists, "->"),
+        })
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(bucket_paths, batch_format="pyarrow")
+    ds = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
     )
+    return _segmented(ds, "user_id", ["ts", "event_id"], paths)
 
 
 def q_user_paths(sf_dir: str):
@@ -6636,17 +6604,16 @@ def q_waiting_supplier(sf_dir: str):
     per-order set algebra: n_distinct_suppliers >= 2 and exactly one
     returned supplier.
 
-    Scale shape: lineitem pre-aggregates (orderkey, suppkey) -> any_ret
-    per batch (TableGroupBy partial), then ONE hash-bucket exchange on
-    orderkey; inside a bucket a single lexsort + reduceat dedups pairs
-    and reduces each order's segment — no per-order Python.  The
-    surviving candidates (one row per qualifying order) meet the
-    F-orders key set in a key-only semi hash join; supplier name/nation
-    resolve through a broadcast LUT and the rollup is O(suppliers)."""
+    Scale shape: lineitem runs through ``_segmented`` keyed on
+    orderkey and ordered by suppkey; one kernel dedups the (order,
+    supplier) pairs and reduces each order's segment — no per-order
+    Python.  The surviving candidates (one row per qualifying order)
+    meet the F-orders key set in a key-only semi hash join; supplier
+    name/nation resolve through a broadcast LUT and the rollup is
+    O(suppliers)."""
     import ray
     import ray.data as rd
 
-    from ..util.hashing import splitmix64
     from .joins import hash_join
 
     _, (sk, s_nation), target, _ = _nation_luts(sf_dir)
@@ -6660,49 +6627,27 @@ def q_waiting_supplier(sf_dir: str):
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey", "l_returnflag"]
     )
-    nb = _window_buckets(li)
 
-    def partial_pairs(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
-            {
-                "o": pc.cast(batch.column("l_orderkey"), pa.int64()),
-                "s": pc.cast(batch.column("l_suppkey"), pa.int64()),
-                "ret": pc.cast(pc.equal(batch.column("l_returnflag"), "R"), pa.int64()),
-            }
-        )
-        g = pa.TableGroupBy(t, ["o", "s"]).aggregate([("ret", "max")])
-        g = g.rename_columns(["o", "s", "ret"])
-        ok = g.column("o").to_numpy(zero_copy_only=False)
-        b = (splitmix64(ok.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return g.append_column("_b", pa.array(b))
-
-    pairs = li.map_batches(partial_pairs, batch_format="pyarrow", zero_copy_batch=True)
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        o = group.column("o").to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(o) == 0:
-            return pa.Table.from_pydict(
-                {"l_orderkey": pa.array([], pa.int64()), "ret_supp": pa.array([], pa.int64())}
-            )
-        s = group.column("s").to_numpy(zero_copy_only=False).astype(np.int64)
-        r = group.column("ret").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((s, o))
-        o, s, r = o[order], s[order], r[order]
-        # combine cross-batch partials: dedup (o, s) pairs with max(ret)
-        pstarts = np.flatnonzero(np.concatenate(([True], (np.diff(o) != 0) | (np.diff(s) != 0))))
+    def per_order(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        o = t.column("l_orderkey").to_numpy().astype(np.int64)
+        s = t.column("l_suppkey").to_numpy().astype(np.int64)
+        r = pc.equal(t.column("l_returnflag"), "R").to_numpy().astype(np.int64)
+        # dedup (o, s) pairs with max(ret): a pair starts at an order
+        # start or a supplier change
+        new = np.ones(len(s), dtype=bool)
+        new[1:] = s[1:] != s[:-1]
+        new[starts] = True
+        pstarts = np.flatnonzero(new)
         rmax = np.maximum.reduceat(r, pstarts)
-        od, sd = o[pstarts], s[pstarts]
         # per-order segment reduce over the deduped pairs
-        ostarts = np.flatnonzero(np.concatenate(([True], np.diff(od) != 0)))
-        n_supp = np.diff(np.concatenate((ostarts, [len(od)])))
+        ostarts = np.searchsorted(pstarts, starts)
+        n_supp = np.diff(np.append(ostarts, len(pstarts)))
         n_ret = np.add.reduceat(rmax, ostarts)
-        ret_supp = np.add.reduceat(sd * rmax, ostarts)
+        ret_supp = np.add.reduceat(s[pstarts] * rmax, ostarts)
         keep = (n_ret == 1) & (n_supp >= 2)
-        return pa.Table.from_pydict(
-            {"l_orderkey": pa.array(od[ostarts][keep]), "ret_supp": pa.array(ret_supp[keep])}
-        )
+        return pa.table({"l_orderkey": o[starts][keep], "ret_supp": ret_supp[keep]})
 
-    cand = pairs.groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
+    cand = _segmented(li, "l_orderkey", ["l_suppkey"], per_order)
 
     orders_f = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -7187,77 +7132,27 @@ def q_excess_suppliers(sf_dir: str):
     )
 
 
-CUM_USER_BUCKETS = 64
-WINDOW_BUCKET_TARGET_BYTES = 256 << 20  # per-bucket map_groups task budget
-
-
-def _window_buckets(ds) -> int:
-    """Bucket count for the hash-bucketed window ops: a FIXED count
-    (the old CUM_USER_BUCKETS=64) means corpus/64 bytes per map_groups
-    task — ~1.5 TB at 100 TB.  Size the count from the dataset's
-    metadata byte estimate (no execution for parquet reads) so each
-    bucket's lexsort stays within one worker's heap; results are
-    bucket-count-invariant (each bucket holds WHOLE key partitions),
-    only task granularity changes.  Floor 64 keeps small inputs wide
-    enough to parallelize."""
-    try:
-        nbytes = ds.size_bytes() or 0
-    except Exception:
-        nbytes = 0
-    return max(CUM_USER_BUCKETS, int(nbytes // WINDOW_BUCKET_TARGET_BYTES) + 1)
-
-
 def q_user_cumulative_value(sf_dir: str):
     """Per-user running total of event value (exact cents), ordered by
     (ts, event_id) — the window-function workload (SUM OVER PARTITION
-    BY ... ORDER BY ...).
-
-    Scale shape: users hash into CUM_USER_BUCKETS groups so the groupby
-    pays one Python call per BUCKET, not per user; inside a bucket one
-    np.lexsort orders (user, ts, event_id) and the running sums for all
-    users fall out of a single cumsum with per-segment offsets — no
-    per-user loop.  A user's history is the irreducible partition grain
-    of a running sum, so the hottest user bounds task memory (like any
-    SQL window partition)."""
+    BY ... ORDER BY ...): the running sums for all users in a bucket
+    fall out of a single cumsum rebased at segment starts — no per-user
+    loop."""
     import ray.data as rd
+
+    def running(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        cents = np.floor(t.column("value").to_numpy() * 100 + 0.5).astype(np.int64)
+        cum = np.cumsum(cents)
+        base = (cum[starts] - cents[starts])[_segment_ids(starts, len(cum))]
+        return pa.table({
+            "event_id": t.column("event_id"), "user_id": t.column("user_id"),
+            "cum_value_c": cum - base,
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
-    nb = _window_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        from ..util.hashing import splitmix64
-
-        b = (splitmix64(uid.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return batch.append_column("_ub", pa.array(b))
-
-    def bucket_cumsum(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        val = group.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(val * 100 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, eid_s, cents_s = uid[order], eid[order], cents[order]
-        cum = np.cumsum(cents_s)
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(uid_s)) + 1))
-        sizes = np.diff(np.concatenate((starts, [len(uid_s)])))
-        base = np.repeat(cum[starts] - cents_s[starts], sizes)
-        return pa.Table.from_pydict(
-            {
-                "event_id": pa.array(eid_s),
-                "user_id": pa.array(uid_s),
-                "cum_value_c": pa.array(cum - base),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(bucket_cumsum, batch_format="pyarrow")
-    )
+    return _segmented(ds, "user_id", ["ts", "event_id"], running)
 
 
 def q_embedding_dedup_vecs(sf_dir: str):
@@ -7588,50 +7483,23 @@ def q_source_trigram_entropy(sf_dir: str):
 def q_user_first_last_event(sf_dir: str):
     """Per-user first/last event type by (ts, event_id) — the
     argmin/argmax-per-group workload (FIRST_VALUE / LAST_VALUE
-    windows).  Same bucketed shape as user_cumulative_value: users
-    hash into CUM_USER_BUCKETS groups, one lexsort per bucket finds
-    every user's segment, firsts/lasts are the segment edge rows — no
-    per-user Python call."""
+    windows): firsts/lasts are the segment edge rows — no per-user
+    Python call."""
     import ray.data as rd
 
-    from ..util.hashing import splitmix64
+    def edges(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ends = np.append(starts[1:], t.num_rows) - 1
+        et = t.column("event_type")
+        return pa.table({
+            "user_id": t.column("user_id").take(starts),
+            "first_type": et.take(starts), "last_type": et.take(ends),
+            "n_events": ends - starts + 1,
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
     )
-    nb = _window_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (splitmix64(uid.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return batch.append_column("_ub", pa.array(b))
-
-    def bucket_edges(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        et = group.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        order = np.lexsort((eid, ts, uid))
-        uid_s = uid[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(uid_s)) + 1))
-        ends = np.concatenate((starts[1:], [len(uid_s)])) - 1
-        take = lambda idx: et.take(pa.array(order[idx].astype(np.int64)))
-        return pa.Table.from_pydict(
-            {
-                "user_id": pa.array(uid_s[starts]),
-                "first_type": take(starts),
-                "last_type": take(ends),
-                "n_events": pa.array((ends - starts + 1).astype(np.int64)),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(bucket_edges, batch_format="pyarrow")
-    )
+    return _segmented(ds, "user_id", ["ts", "event_id"], edges)
 
 
 def q_brand_discount_stats(sf_dir: str):
@@ -7787,56 +7655,31 @@ def q_linestatus_priority_mix(sf_dir: str):
 
 def q_top_orders_per_cust(sf_dir: str):
     """DENSE_RANK <= 2 per customer by price — the ranked-window
-    workload with ties kept.  Customers hash into CUM_USER_BUCKETS
-    groups; within a bucket ONE lexsort orders every customer's
-    segment by (cents desc, orderkey) and the dense rank is a cumsum
-    of value-change flags rebased at segment starts — no per-customer
+    workload with ties kept.  Each customer segment is ordered by
+    (price desc, orderkey) and the dense rank is a cumsum of
+    value-change flags rebased at segment starts — no per-customer
     Python call.  Prices compared in exact cents so rank ties are
     bit-deterministic on both sides."""
     import ray.data as rd
 
-    from ..util.hashing import splitmix64
+    def ranked(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        cents = np.floor(t.column("o_totalprice").to_numpy() * 100 + 0.5).astype(np.int64)
+        change = np.ones(len(cents), dtype=bool)
+        change[1:] = cents[1:] != cents[:-1]
+        change[starts] = True
+        cv = np.cumsum(change)
+        rnk = cv - cv[starts][_segment_ids(starts, len(cv))] + 1
+        keep = pa.array(rnk <= 2)
+        return pa.table({
+            "o_custkey": t.column("o_custkey").filter(keep),
+            "o_orderkey": t.column("o_orderkey").filter(keep),
+            "price_c": cents[rnk <= 2], "rnk": rnk[rnk <= 2].astype(np.int64),
+        })
 
     ds = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
-    nb = _window_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (splitmix64(ck.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return batch.append_column("_cb", pa.array(b))
-
-    def bucket_rank(group: pa.Table) -> pa.Table:
-        cust = group.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        okey = group.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        p = group.column("o_totalprice").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * 100 + 0.5).astype(np.int64)
-        order = np.lexsort((okey, -cents, cust))
-        c, v, k = cust[order], cents[order], okey[order]
-        new_seg = np.empty(len(c), dtype=bool)
-        new_seg[0] = True
-        np.not_equal(c[1:], c[:-1], out=new_seg[1:])
-        val_change = new_seg.copy()
-        val_change[1:] |= v[1:] != v[:-1]
-        cv = np.cumsum(val_change)
-        seg_id = np.cumsum(new_seg) - 1
-        rnk = cv - cv[np.flatnonzero(new_seg)][seg_id] + 1
-        keep = rnk <= 2
-        return pa.Table.from_pydict(
-            {
-                "o_custkey": pa.array(c[keep]),
-                "o_orderkey": pa.array(k[keep]),
-                "price_c": pa.array(v[keep]),
-                "rnk": pa.array(rnk[keep].astype(np.int64)),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_cb")
-        .map_groups(bucket_rank, batch_format="pyarrow")
-    )
+    return _segmented(ds, "o_custkey", ["-o_totalprice", "o_orderkey"], ranked)
 
 
 def q_event_type_distinct_users(sf_dir: str):
@@ -7884,60 +7727,34 @@ def q_event_type_distinct_users(sf_dir: str):
 
 
 def q_user_event_gaps(sf_dir: str):
-    """Per-user inter-event gap statistics — the LAG window workload.
-    Same bucket shape as user_first_last_event: one lexsort per hash
-    bucket, gaps are a masked diff over the sorted timestamp vector
-    (segment boundaries excluded), per-user sums via np.add.reduceat /
-    maximum.reduceat on segment slices.  Exact int64 microseconds; the
-    float average is the identical int/int -> double division in the
-    oracle.  Users with a single event have no gap and are dropped
-    (SQL HAVING count(gap) > 0)."""
+    """Per-user inter-event gap statistics — the LAG window workload:
+    gaps are a diff over the sorted timestamps masked at segment
+    boundaries, per-user sums via np.add.reduceat / maximum.reduceat.
+    Exact int64 microseconds; the float average is the identical
+    int/int -> double division in the oracle.  Users with a single event
+    have no gap and are dropped (SQL HAVING count(gap) > 0)."""
     import ray.data as rd
 
-    from ..util.hashing import splitmix64
+    NO_GAP = np.int64(-(2**62))
+
+    def gaps(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = pc.cast(t.column("ts"), pa.int64()).to_numpy()
+        lens = np.diff(np.append(starts, len(ts)))
+        gap = np.append(np.diff(ts), 0)  # gap[i] = ts[i+1] - ts[i]
+        valid = np.ones(len(gap), dtype=bool)
+        valid[np.append(starts[1:], len(ts)) - 1] = False  # a segment's last row has none
+        keep = lens > 1
+        sums = np.add.reduceat(np.where(valid, gap, 0), starts)[keep]
+        maxs = np.maximum.reduceat(np.where(valid, gap, NO_GAP), starts)[keep]
+        n = (lens - 1)[keep]
+        return pa.table({
+            "user_id": t.column("user_id").take(starts[keep]),
+            "n_gaps": n, "sum_gap_us": sums, "max_gap_us": maxs,
+            "avg_gap_us": sums.astype(np.float64) / n.astype(np.float64),
+        })
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
-    nb = _window_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (splitmix64(uid.view(np.uint64)) % np.uint64(nb)).view(np.int64)
-        return batch.append_column("_ub", pa.array(b))
-
-    def bucket_gaps(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        u, t = uid[order], ts[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(u)) + 1))
-        lens = np.diff(np.concatenate((starts, [len(u)])))
-        gap = np.diff(t)  # gap[i] = t[i+1]-t[i]; cross-user positions masked next
-        valid = np.ones(len(gap), dtype=bool)
-        valid[starts[1:] - 1] = False  # last row of each segment has no successor gap
-        gz = np.where(valid, gap, 0)
-        gm = np.where(valid, gap, np.int64(-(2**62)))
-        keep = lens > 1
-        sums = np.add.reduceat(np.concatenate((gz, [0])), starts)[keep]
-        maxs = np.maximum.reduceat(np.concatenate((gm, [np.int64(-(2**62))])), starts)[keep]
-        n = (lens - 1)[keep]
-        return pa.Table.from_pydict(
-            {
-                "user_id": pa.array(u[starts][keep]),
-                "n_gaps": pa.array(n.astype(np.int64)),
-                "sum_gap_us": pa.array(sums.astype(np.int64)),
-                "max_gap_us": pa.array(maxs.astype(np.int64)),
-                "avg_gap_us": pa.array(
-                    sums.astype(np.float64) / n.astype(np.float64), type=pa.float64()
-                ),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(bucket_gaps, batch_format="pyarrow")
-    )
+    return _segmented(ds, "user_id", ["ts", "event_id"], gaps)
 
 
 def q_props_k_histogram(sf_dir: str):

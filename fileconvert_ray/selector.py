@@ -3,10 +3,10 @@
 The generalization of the reference's sample-based schema inference
 (SURVEY §2.1 R5 — narrow a candidate set from evidence in a sample):
 sample <=4096 values of a column chunk with a deterministic stride,
-run each registered codec's cheap analytic size estimator, pick the
-argmin.  The wrapper in ``codecs/__init__.py`` re-checks the real
-encoded size against plain and falls back, so an estimator lie can
-cost speed but never size (hard part (d) in SURVEY §7).
+really encode the sample with every candidate codec, pick the smallest.
+The wrapper in ``codecs/__init__.py`` re-checks the real encoded size
+of the whole chunk against plain and falls back, so a sample that
+misjudges can cost speed but never size (hard part (d) in SURVEY §7).
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def select_ranked(
     and, when the zstd topper is on, the payload is really compressed —
     analytic estimates can't rank byte-aligned codecs (esc, dictz)
     against bit-packed ones because only the former gain from the
-    topper's entropy stage.  Cost is microseconds and is amortized by
-    the per-(source, column) choice cache in the encode actors.
+    topper's entropy stage.  The cost is amortized by the
+    per-(source, column) choice cache that each worker process's
+    partition writer keeps for one job (``stages/encoder.py``).
 
     ``target_n``: length of the full chunk the choice will apply to.
     Codecs with real fixed costs (rans/rrans: freq table, lane states)

@@ -1700,10 +1700,10 @@ def test_connected_components_auto_threshold_switch(ray_session):
 
 
 def test_user_window_ops_hot_user_skew(ray_session, tmp_path):
-    """user_cumulative_value / user_first_last_event on a corpus where
-    one user owns 80% of events: the bucket shape must still produce
-    the exact pandas window answer (the hot user's history is the
-    irreducible partition grain, like any SQL window partition)."""
+    """The per-key window queries on a corpus where one user owns 80%
+    of events: the bucket shape must still produce the exact pandas or
+    DuckDB window answer (the hot user's history is the irreducible
+    partition grain, like any SQL window partition)."""
     import os
 
     import numpy as np
@@ -1763,6 +1763,12 @@ def test_user_window_ops_hot_user_skew(ray_session, tmp_path):
     # per-user sorted ts: sum of diffs telescopes to max-min
     assert (gaps["sum_gap_us"] == want_gap["sum_gap_us"]).all()
     assert (gaps["max_gap_us"] == want_gap["max_gap_us"]).all()
+
+    from fileconvert_ray.functions.queries import QUERIES
+
+    for name in ("events_rolling_avg", "user_sessions", "user_funnel",
+                 "session_stats", "event_transitions"):
+        _assert_matches_oracle(name, QUERIES[name](str(d)).to_pandas(), str(d))
 
 
 def test_top_orders_per_cust_dense_rank_ties(ray_session, tmp_path):
@@ -1838,16 +1844,60 @@ def test_json_int_field_fast_path_and_fallback():
     assert got == [truth(s) for s in rows]
 
 
-def test_window_bucket_count_invariance(ray_session, monkeypatch):
+def _assert_matches_oracle(name, got, sf_dir):
+    """``got`` equals ORACLE_SQL[name] run by DuckDB over the parquet
+    tables in ``sf_dir``: same columns and rows, order-insensitive,
+    exact values."""
+    import os
+
+    import duckdb
+
+    from fileconvert_ray.functions.queries import ORACLE_SQL
+
+    con = duckdb.connect()
+    for f in sorted(os.listdir(sf_dir)):
+        if f.endswith(".parquet"):
+            con.execute(f"create view {f[:-8]} as select * from read_parquet('{sf_dir}/{f}')")
+    want = con.execute(ORACLE_SQL[name]).df()
+
+    def canon(df):
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols, ignore_index=True)
+
+    a, b = canon(got), canon(want)
+    assert list(a.columns) == list(b.columns), (name, list(a.columns), list(b.columns))
+    assert len(a) == len(b), (name, len(a), len(b))
+    for c in a.columns:
+        assert (a[c].to_numpy() == b[c].to_numpy()).all(), (name, c)
+
+
+# every query that runs through queries._segmented
+SEGMENTED_QUERIES = [
+    "events_rolling_avg", "user_sessions", "user_funnel", "session_stats",
+    "event_transitions", "user_paths", "user_paths_capped", "waiting_supplier",
+    "user_cumulative_value", "user_first_last_event", "top_orders_per_cust",
+    "user_event_gaps",
+]
+
+
+@pytest.mark.parametrize("name", SEGMENTED_QUERIES)
+def test_window_bucket_count_invariance(ray_session, monkeypatch, sf_dir, name):
     """Window-op results must not depend on the bucket count (buckets
-    hold whole user partitions; only task granularity changes)."""
+    hold whole key partitions; only task granularity changes).  One
+    bucket puts every key in the same sort, so segment boundaries
+    inside a bucket are exercised even on sf0.001's 15 users; both
+    counts must equal the DuckDB oracle."""
     from fileconvert_ray.functions import queries as qmod
 
-    sf = "/root/testdata/sf0.001"
-    base = qmod.q_user_event_gaps(sf).to_pandas().sort_values("user_id", ignore_index=True)
-    monkeypatch.setattr(qmod, "CUM_USER_BUCKETS", 3)
-    small = qmod.q_user_event_gaps(sf).to_pandas().sort_values("user_id", ignore_index=True)
-    assert base.equals(small)
+    def run():
+        df = qmod.QUERIES[name](sf_dir).to_pandas()
+        return df.sort_values(sorted(df.columns), ignore_index=True)
+
+    base = run()
+    monkeypatch.setattr(qmod, "CUM_USER_BUCKETS", 1)
+    one = run()
+    assert base.equals(one)
+    _assert_matches_oracle(name, base, sf_dir)
 
 
 def test_profile_parquet_nulls_and_lists(ray_session, tmp_path):
@@ -2069,20 +2119,13 @@ def test_profile_distinct_exact_beyond_2_53(ray_session, tmp_path):
     assert prof["k"]["n_distinct"] == 4
 
 
-def test_user_paths_bucket_invariance_and_cap(ray_session, monkeypatch, tmp_path):
-    """user_paths on the hash-bucket + lexsort + binary_join pattern
-    (round-4 verdict #3): results are bucket-count-invariant, and the
-    capped variant bounds a pathological hot user's path at 8 steps
-    while reporting the true n_events (verdict #8)."""
+def test_user_paths_capped_hot_user(ray_session, tmp_path):
+    """The capped user_paths variant bounds a pathological hot user's
+    path at 8 steps while reporting the true n_events (round-4 verdict
+    #8)."""
     import pyarrow.parquet as _pq
 
     from fileconvert_ray.functions import queries as qmod
-
-    sf = "/root/testdata/sf0.001"
-    base = qmod.q_user_paths(sf).to_pandas().sort_values("user_id", ignore_index=True)
-    monkeypatch.setattr(qmod, "CUM_USER_BUCKETS", 3)
-    small = qmod.q_user_paths(sf).to_pandas().sort_values("user_id", ignore_index=True)
-    assert base.equals(small)
 
     # synthetic hot user: 5000 events for user 7, 3 for user 8
     n = 5000
