@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifest import publishing
+
 __all__ = ["range_partition_parquet", "read_range"]
 
 
@@ -91,10 +93,8 @@ def range_partition_parquet(
         "buckets": buckets,
         "n_rows": int(sum(buckets.values())),
     }
-    tmp = os.path.join(out_dir, "_range_manifest.json.tmp")
-    with open(tmp, "w") as f:
+    with publishing(os.path.join(out_dir, "_range_manifest.json")) as tmp, open(tmp, "w") as f:
         json.dump(manifest, f)
-    os.replace(tmp, os.path.join(out_dir, "_range_manifest.json"))
     return manifest
 
 

@@ -38,6 +38,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..state.manifest import publishing
+
 
 def _token_stats(batch: pa.Table) -> pa.Table:
     """Per-doc token-level quality stats; vectorized over the flat
@@ -318,9 +320,8 @@ def run_annotate(out_dir: str, name: str = "token_stats") -> dict:
                 for t in iter_partition_chunks(dirs.container_path(pid), cols)
             ]
             t = pa.concat_tables(parts) if parts else fn(empty)
-            tmp = os.path.join(adir, f".{pid}.tmp.parquet")
-            pq.write_table(t, tmp)
-            os.replace(tmp, os.path.join(adir, f"{pid}.parquet"))
+            with publishing(os.path.join(adir, f"{pid}.parquet")) as tmp:
+                pq.write_table(t, tmp)
             out_rows.append({"pid": pid, "n_rows": t.num_rows})
         return pa.Table.from_pylist(out_rows) if out_rows else pa.table(
             {"pid": pa.array([], pa.string()), "n_rows": pa.array([], pa.int64())}

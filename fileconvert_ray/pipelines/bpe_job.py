@@ -31,6 +31,8 @@ import json
 import os
 import shutil
 
+from ..state.manifest import publishing
+
 BPE_MARKER = "merges.json"
 
 
@@ -84,18 +86,13 @@ def run_bpe_reencode(src_dir: str, out_dir: str, *, rounds: int = 16,
     src_vocab_digest = None
     if os.path.exists(os.path.join(src_dir, "vocab.json")):
         # text invertibility rides along: same vocab, merged ids extra
-        shutil.copyfile(
-            os.path.join(src_dir, "vocab.json"),
-            os.path.join(out_dir, ".vocab.json.tmp"),
-        )
-        os.replace(os.path.join(out_dir, ".vocab.json.tmp"),
-                   os.path.join(out_dir, "vocab.json"))
+        with publishing(os.path.join(out_dir, "vocab.json")) as tmp:
+            shutil.copyfile(os.path.join(src_dir, "vocab.json"), tmp)
         with open(os.path.join(src_dir, "vocab.json"), "rb") as f:
             src_vocab_digest = hashlib.sha256(f.read()).hexdigest()
 
     marker = os.path.join(out_dir, BPE_MARKER)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
+    with publishing(marker) as tmp, open(tmp, "w") as f:
         json.dump({
             "rules": [[int(a), int(b), int(c)] for a, b, c in rules],
             "rules_sha256": _rules_digest(rules),
@@ -103,7 +100,6 @@ def run_bpe_reencode(src_dir: str, out_dir: str, *, rounds: int = 16,
             "src_vocab_sha256": src_vocab_digest,
             "counts": merges.column("count").to_pylist(),
         }, f)
-    os.replace(tmp, marker)
 
     n_tok_out = int(m["n_tokens"].sum()) if len(m) else 0
     return {

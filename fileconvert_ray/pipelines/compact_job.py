@@ -31,7 +31,7 @@ import os
 
 import pyarrow as pa
 
-from ..state.manifest import JobDirs, _atomic_write_bytes, read_manifest_entries
+from ..state.manifest import JobDirs, publishing, read_manifest_entries
 
 
 def _intent_dir(out_dir: str) -> str:
@@ -138,7 +138,8 @@ def compact_group(out_dir: str, group: dict, *, zstd: bool = True) -> pa.Table:
     dirs = JobDirs(out_dir)
     os.makedirs(_intent_dir(out_dir), exist_ok=True)
     intent_path = os.path.join(_intent_dir(out_dir), f"{group['gid']}.json")
-    _atomic_write_bytes(intent_path, json.dumps({"olds": group["olds"]}).encode())
+    with publishing(intent_path) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps({"olds": group["olds"]}).encode())
 
     decoded = pa.concat_tables(
         [read_partition(dirs.container_path(pid)) for pid in group["olds"]]

@@ -190,13 +190,7 @@ def run_delete_matching(out_dir: str, phrases: list[str]) -> dict:
 
     pids = sorted(completed_partitions(out_dir))
     if resolved and os.path.isdir(index_dir(out_dir)):
-        cand: set[str] = set()
-        for ids in resolved.values():
-            c, total = candidate_partitions_for_ids(out_dir, ids)
-            cand.update(c)
-            if len(cand) == total:
-                break
-        pids = sorted(cand)
+        pids, _total = candidate_partitions_for_ids(out_dir, list(resolved.values()))
     if not pids or not resolved:
         return {"found": 0, "partitions": 0, "scanned": len(pids)}
 

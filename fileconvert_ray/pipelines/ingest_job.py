@@ -36,6 +36,8 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifest import publishing
+
 INGEST_MARKER = "ingest.json"
 
 
@@ -158,16 +160,12 @@ def run_ingest(inputs, out_dir: str, *, target_partition_tokens: int = 4_000_000
     if not os.path.exists(vocab_path):
         # vocab persists BEFORE any encoding: the ids inside the
         # containers are only decodable with exactly this table
-        tmp = vocab_path + ".tmp"
-        with open(tmp, "w") as f:
+        with publishing(vocab_path) as tmp, open(tmp, "w") as f:
             json.dump(vocab, f)
-        os.replace(tmp, vocab_path)
     marker = os.path.join(out_dir, INGEST_MARKER)
     if not os.path.exists(marker):
-        tmp = marker + ".tmp"
-        with open(tmp, "w") as f:
+        with publishing(marker) as tmp, open(tmp, "w") as f:
             json.dump({"tokenizer": "whitespace-vocab", "vocab": "vocab.json"}, f)
-        os.replace(tmp, marker)
 
     from ..state.manifest import read_plan
 

@@ -20,12 +20,13 @@ partition of ``src_dir`` into ``dest_dir`` as NEW ingest generations:
   output) is refused loudly — merging it would break the "mixed
   containers never leak into snapshots" discipline.
 - Container BYTES are not rewritten: files are hardlinked when the
-  stores share a filesystem (copy fallback, tmp+rename).  Manifest
-  digests therefore stay valid — ``verify --mode manifest`` is green
-  on the merged store immediately.  Hardlinks are safe against later
-  mutation of either store because every container rewrite in this
-  repo (purge, compact) goes through tmp+``os.replace``, which swaps
-  the inode instead of writing in place.
+  stores share a filesystem (copy fallback, atomically published).
+  Manifest digests therefore stay valid — ``verify --mode manifest``
+  is green on the merged store immediately.  Hardlinks are safe
+  against later mutation of either store because every container
+  rewrite in this repo (purge, compact, redact) publishes a new file
+  through ``state.manifest.publishing``, whose rename swaps the inode
+  instead of writing in place.
 - Tombstones (logical deletes) carry over under the new labels: a
   takedown honored in src stays honored after the merge.
 - plan.json is written LAST.  A crash mid-merge leaves only fully
@@ -54,6 +55,7 @@ import shutil
 
 from ..state.manifest import (
     JobDirs,
+    publishing,
     read_manifest_entries,
     read_plan,
     read_tombstones,
@@ -287,14 +289,13 @@ def _check_vocab_compat(dest_dir: str, src_dir: str) -> None:
 
 def _place_container(src_path: str, dst_path: str) -> str:
     """Hardlink src -> dst (same filesystem: zero bytes moved); copy
-    via tmp+rename otherwise.  Returns 'link' or 'copy'."""
+    through ``publishing`` otherwise.  Returns 'link' or 'copy'."""
     try:
         os.link(src_path, dst_path)
         return "link"
     except OSError:
-        tmp = dst_path + ".merging"
-        shutil.copy2(src_path, tmp)
-        os.replace(tmp, dst_path)
+        with publishing(dst_path) as tmp:
+            shutil.copy2(src_path, tmp)
         return "copy"
 
 

@@ -36,6 +36,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifest import publishing
+
 
 def packed_dataset(
     out_dir: str,
@@ -339,8 +341,7 @@ def run_export_packed(
         "chunks": int(stats["count()"]),
         "tokens": int(stats["sum(n_tok)"] or 0),
     }
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
+    with publishing(marker) as tmp, open(tmp, "w") as f:
         json.dump(
             {
                 **res,
@@ -353,5 +354,4 @@ def run_export_packed(
             },
             f,
         )
-    os.replace(tmp, marker)
     return res

@@ -142,12 +142,7 @@ def run_redact(
         want_src = set(sources)
         pids = [p for p in pids if entries[p]["source"] in want_src]
     if resolved and os.path.isdir(index_dir(out_dir)):
-        cand: set[str] = set()
-        for ids in resolved:
-            c, total = candidate_partitions_for_ids(out_dir, ids)
-            cand.update(c)
-            if len(cand) == total:
-                break
+        cand = set(candidate_partitions_for_ids(out_dir, resolved)[0])
         pids = [p for p in pids if p in cand]  # intersect with the source scope
     if not pids or not resolved:
         return {"scanned": len(pids) if resolved else 0, "rewritten": 0,

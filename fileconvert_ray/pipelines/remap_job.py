@@ -49,6 +49,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..state.manifest import publishing
+
 REMAP_MARKER = "remap.json"
 
 
@@ -170,16 +172,11 @@ def run_remap(src_dir: str, out_dir: str, *, vocab,
         ),
     ).to_pandas()
 
-    # target vocab + lineage land LAST (tmp+rename), mirroring ingest:
+    # target vocab + lineage land LAST (atomic publish), mirroring ingest:
     # their presence marks a completed, decodable-with-this-vocab store
-    vpath = os.path.join(out_dir, "vocab.json")
-    tmp = vpath + ".tmp"
-    with open(tmp, "w") as f:
+    with publishing(os.path.join(out_dir, "vocab.json")) as tmp, open(tmp, "w") as f:
         json.dump(dst_vocab, f)
-    os.replace(tmp, vpath)
-    marker = os.path.join(out_dir, REMAP_MARKER)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
+    with publishing(os.path.join(out_dir, REMAP_MARKER)) as tmp, open(tmp, "w") as f:
         json.dump({
             "src": os.path.abspath(src_dir),
             "src_vocab_sha256": _vocab_digest(src_vocab),
@@ -188,7 +185,6 @@ def run_remap(src_dir: str, out_dir: str, *, vocab,
             "dst_vocab_size": len(dst_vocab),
             "words_mapped_to_oov": n_oov,
         }, f)
-    os.replace(tmp, marker)
 
     return {
         "ok": True,

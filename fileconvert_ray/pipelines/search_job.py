@@ -48,6 +48,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..state.manifest import publishing
+
 INDEX_NAME = "token_bloom"
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _GOLD2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -125,7 +127,7 @@ def run_build_index(out_dir: str, name: str = INDEX_NAME) -> dict:
     """One Ray task per completed partition lacking a sidecar:
     stream-decode the tokens column, collect distinct unigram/bigram
     keys, write ``index/{name}/{part_id}.parquet`` atomically
-    (tmp+rename).  Idempotent — re-run fills only gaps, so it composes
+    (``publishing``).  Idempotent — re-run fills only gaps, so it composes
     with compaction / merge / upsert exactly like run_annotate."""
     import ray.data as rd
 
@@ -166,9 +168,8 @@ def run_build_index(out_dir: str, name: str = INDEX_NAME) -> dict:
                     "bitmap": pa.array([bitmap], pa.binary()),
                 }
             )
-            tmp = os.path.join(idir, f".{pid}.tmp.parquet")
-            pq.write_table(t, tmp)
-            os.replace(tmp, os.path.join(idir, f"{pid}.parquet"))
+            with publishing(os.path.join(idir, f"{pid}.parquet")) as tmp:
+                pq.write_table(t, tmp)
             rows.append({"pid": pid, "bytes": len(bitmap)})
         return (
             pa.Table.from_pylist(rows)
@@ -228,20 +229,22 @@ def phrase_token_ids(out_dir: str, phrase: str) -> np.ndarray | None:
 
 
 def candidate_partitions_for_ids(
-    out_dir: str, token_ids: np.ndarray, name: str = INDEX_NAME
+    out_dir: str, phrases: list, name: str = INDEX_NAME
 ) -> tuple[list[str], int]:
-    """(candidate part_ids, total completed) — bloom pruning.  A
-    partition with no sidecar stays a candidate (the index is an
-    accelerator, never a correctness gate); the sidecar check runs as
-    Ray tasks so millions of partitions never serialize through the
-    driver's open() loop."""
+    """(candidate part_ids, total completed) — bloom pruning for a list
+    of phrase token-id arrays.  A partition stays a candidate when any
+    phrase's keys all hit its bloom, so one probe job (each sidecar
+    read once) serves every phrase of a command.  A partition with no
+    sidecar stays a candidate (the index is an accelerator, never a
+    correctness gate); the sidecar check runs as Ray tasks so millions
+    of partitions never serialize through the driver's open() loop."""
     import ray.data as rd
 
     from ..state.manifest import completed_partitions
 
     pids = sorted(completed_partitions(out_dir))
     idir = index_dir(out_dir, name)
-    keys = _phrase_keys(np.asarray(token_ids, dtype=np.int64))
+    keysets = [_phrase_keys(np.asarray(ids, dtype=np.int64)) for ids in phrases]
 
     def check(batch: pa.Table) -> pa.Table:
         out = []
@@ -251,13 +254,9 @@ def candidate_partitions_for_ids(
                 out.append(True)
                 continue
             row = pq.read_table(p)
-            out.append(
-                _bitmap_contains_all(
-                    row.column("bitmap")[0].as_py(),
-                    int(row.column("m_bits")[0].as_py()),
-                    keys,
-                )
-            )
+            bitmap = row.column("bitmap")[0].as_py()
+            m_bits = int(row.column("m_bits")[0].as_py())
+            out.append(any(_bitmap_contains_all(bitmap, m_bits, k) for k in keysets))
         return pa.table(
             {"pid": batch.column("pid"), "cand": pa.array(out, pa.bool_())}
         )
@@ -431,14 +430,7 @@ def run_search_many(
 
     part_ids = None
     if resolved and use_index and os.path.isdir(index_dir(out_dir, name)):
-        cand: set[str] = set()
-        total = None
-        for ids in resolved.values():
-            c, total = candidate_partitions_for_ids(out_dir, ids, name)
-            cand.update(c)
-            if len(cand) == total:
-                break
-        part_ids = sorted(cand)
+        part_ids, _total = candidate_partitions_for_ids(out_dir, list(resolved.values()), name)
 
     ds = decode_dataset(
         out_dir, columns=["doc_id", "tokens"], part_ids=part_ids, sources=sources
@@ -495,7 +487,7 @@ def run_search(
 
     part_ids = None
     if use_index and os.path.isdir(index_dir(out_dir, name)):
-        part_ids, _total = candidate_partitions_for_ids(out_dir, ids, name)
+        part_ids, _total = candidate_partitions_for_ids(out_dir, [ids], name)
 
     ds = decode_dataset(
         out_dir, columns=["doc_id", "tokens"], part_ids=part_ids, sources=sources

@@ -34,6 +34,8 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifest import publishing
+
 OOV_TOKEN = "<unk>"
 
 
@@ -91,12 +93,10 @@ def run_tokenize(
     )
     toks.write_parquet(shards_dir)
 
-    # vocab lands LAST (tmp+rename): its presence marks a completed
+    # vocab lands LAST (atomic publish): its presence marks a completed
     # tokenize, and a re-run against the same out_dir is idempotent
-    tmp = os.path.join(out_dir, ".vocab.json.tmp")
-    with open(tmp, "w") as f:
+    with publishing(os.path.join(out_dir, "vocab.json")) as tmp, open(tmp, "w") as f:
         json.dump(vocab, f)
-    os.replace(tmp, os.path.join(out_dir, "vocab.json"))
 
     import pyarrow.parquet as pq
 

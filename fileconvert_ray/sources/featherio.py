@@ -18,6 +18,8 @@ import uuid
 import pyarrow as pa
 import pyarrow.feather as feather
 
+from ..state.manifest import publishing
+
 
 def write_feather_dataset(ds, out_dir: str):
     """Write each block as one Feather (Arrow IPC) file.  Returns the
@@ -25,11 +27,9 @@ def write_feather_dataset(ds, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
 
     def write_block(batch: pa.Table) -> pa.Table:
-        name = f"part-{uuid.uuid4().hex}.arrow"
-        tmp = os.path.join(out_dir, "." + name + ".tmp")
-        final = os.path.join(out_dir, name)
-        feather.write_feather(batch, tmp, compression="uncompressed")
-        os.rename(tmp, final)
+        final = os.path.join(out_dir, f"part-{uuid.uuid4().hex}.arrow")
+        with publishing(final) as tmp:
+            feather.write_feather(batch, tmp, compression="uncompressed")
         return pa.Table.from_pydict({"path": [final], "n_rows": [batch.num_rows]})
 
     # batch_size=None => one file per block; block size is governed

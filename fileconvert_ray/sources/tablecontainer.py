@@ -53,6 +53,7 @@ import pyarrow.parquet as pq
 
 from ..codecs import decode_array, encode_array
 from ..codecs.base import CodecError, EncodedColumn
+from ..state.manifest import publishing
 
 _ROW_SCHEMA = pa.schema(
     [
@@ -312,13 +313,11 @@ def write_container_table(
         # skips whole files without touching any payload (same idea as
         # the flagship decoder's chunk zone maps, E9)
         t = t.replace_schema_metadata({"zonemap": json.dumps(_zone_map(batch))})
-        name = f"part-{uuid.uuid4().hex}.parquet"
-        tmp = os.path.join(out_dir, "." + name + ".tmp")
-        final = os.path.join(out_dir, name)
+        final = os.path.join(out_dir, f"part-{uuid.uuid4().hex}.parquet")
         # one row group per encoded column: projected decodes prune
         # other columns' payloads via row-group statistics on `column`
-        pq.write_table(t, tmp, row_group_size=1, compression="none")
-        os.rename(tmp, final)
+        with publishing(final) as tmp:
+            pq.write_table(t, tmp, row_group_size=1, compression="none")
         enc_bytes = sum(r["enc_bytes"] for r in rows)
         plain = sum(r["plain_bytes"] for r in rows)
         return pa.Table.from_pylist(

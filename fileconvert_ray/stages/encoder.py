@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 from ..codecs import TRIAL_MIN_N, EncodedColumn, encode_array
 from ..codecs.base import b64d
 from ..codecs.fsst import SymbolTable
-from ..state.manifest import JobDirs, write_manifest_entry
+from ..state.manifest import JobDirs, publishing, write_manifest_entry
 
 CONTAINER_SCHEMA = pa.schema(
     [
@@ -221,46 +221,44 @@ def stage_raw_task(batch: pa.Table, staged_dir: str, n_buckets: int) -> pa.Table
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(bk)) + 1, [len(bk)]))
     data = batch.drop_columns(["bucket"])
     os.makedirs(staged_dir, exist_ok=True)
-    fname = f"{uuid.uuid4().hex}.parquet"
-    tmp = os.path.join(staged_dir, f".tmp-{fname}")
-    final = os.path.join(staged_dir, fname)
+    final = os.path.join(staged_dir, f"{uuid.uuid4().hex}.parquet")
     meta: dict[str, list] = {"bucket": [], "staged_path": [], "row_group": []}
     bucket_rows: list[tuple[int, int]] = []
-    writer = pq.ParquetWriter(tmp, data.schema, **_STAGE_PQ_OPTS)
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        # row_group_size MUST be explicit: write_table's default silently
-        # splits any slice over 1,048,576 rows into several row groups,
-        # which would desync the recorded indices below (silent partition
-        # corruption — reduce tasks would read another bucket's rows).
-        writer.write_table(data.slice(int(i), int(j - i)), row_group_size=int(j - i))
-        bucket_rows.append((int(bk[i]), int(j - i)))
-    writer.close()
-    # Derive (bucket -> row_group) from the file's ACTUAL row groups, not
-    # the write-call counter: write_table never spans row groups across
-    # calls, so the file's row groups are the per-call groups in order,
-    # but one call MAY still produce several (version-dependent caps).
-    # Walk them, assigning consecutive row groups to each bucket until
-    # its row count is consumed; any misalignment is a hard error.
-    fmd = pq.ParquetFile(tmp).metadata
-    rg_sizes = [fmd.row_group(k).num_rows for k in range(fmd.num_row_groups)]
-    rg = 0
-    for bucket_id, n_rows in bucket_rows:
-        remaining = n_rows
-        while remaining > 0:
-            if rg >= len(rg_sizes) or rg_sizes[rg] > remaining:
-                raise RuntimeError(
-                    f"staged row groups misaligned with bucket boundaries in {final}: "
-                    f"bucket {bucket_id} needs {remaining} more rows, "
-                    f"row group {rg} has {rg_sizes[rg] if rg < len(rg_sizes) else 'none'}"
-                )
-            meta["bucket"].append(bucket_id)
-            meta["staged_path"].append(final)
-            meta["row_group"].append(rg)
-            remaining -= rg_sizes[rg]
-            rg += 1
-    if rg != len(rg_sizes):
-        raise RuntimeError(f"staged file {final} has {len(rg_sizes) - rg} unaccounted row groups")
-    os.replace(tmp, final)
+    with publishing(final) as tmp:
+        writer = pq.ParquetWriter(tmp, data.schema, **_STAGE_PQ_OPTS)
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            # row_group_size MUST be explicit: write_table's default silently
+            # splits any slice over 1,048,576 rows into several row groups,
+            # which would desync the recorded indices below (silent partition
+            # corruption — reduce tasks would read another bucket's rows).
+            writer.write_table(data.slice(int(i), int(j - i)), row_group_size=int(j - i))
+            bucket_rows.append((int(bk[i]), int(j - i)))
+        writer.close()
+        # Derive (bucket -> row_group) from the file's ACTUAL row groups, not
+        # the write-call counter: write_table never spans row groups across
+        # calls, so the file's row groups are the per-call groups in order,
+        # but one call MAY still produce several (version-dependent caps).
+        # Walk them, assigning consecutive row groups to each bucket until
+        # its row count is consumed; any misalignment is a hard error.
+        fmd = pq.ParquetFile(tmp).metadata
+        rg_sizes = [fmd.row_group(k).num_rows for k in range(fmd.num_row_groups)]
+        rg = 0
+        for bucket_id, n_rows in bucket_rows:
+            remaining = n_rows
+            while remaining > 0:
+                if rg >= len(rg_sizes) or rg_sizes[rg] > remaining:
+                    raise RuntimeError(
+                        f"staged row groups misaligned with bucket boundaries in {final}: "
+                        f"bucket {bucket_id} needs {remaining} more rows, "
+                        f"row group {rg} has {rg_sizes[rg] if rg < len(rg_sizes) else 'none'}"
+                    )
+                meta["bucket"].append(bucket_id)
+                meta["staged_path"].append(final)
+                meta["row_group"].append(rg)
+                remaining -= rg_sizes[rg]
+                rg += 1
+        if rg != len(rg_sizes):
+            raise RuntimeError(f"staged file {final} has {len(rg_sizes) - rg} unaccounted row groups")
     return pa.Table.from_pydict(meta, schema=BUCKET_META_SCHEMA)
 
 
@@ -502,7 +500,6 @@ class PartitionWriter:
 
     def _write_container(self, group: pa.Table, digest: dict, t0: float, zones: dict) -> pa.Table:
         part_id = group.column("part_id")[0].as_py()
-        tmp = os.path.join(self.dirs.tmp, f"{part_id}-{uuid.uuid4().hex}.parquet")
         # payloads are codec-compressed already; container stays raw.
         # One row group per chunk_uid (chunk rows are built contiguously)
         # so the decoder can stream chunk by chunk instead of loading
@@ -510,11 +507,11 @@ class PartitionWriter:
         group = group.combine_chunks()
         uid_codes = group.column("chunk_uid").combine_chunks().dictionary_encode().indices.to_numpy(zero_copy_only=False)
         bounds = np.concatenate(([0], np.flatnonzero(np.diff(uid_codes)) + 1, [len(uid_codes)]))
-        writer = pq.ParquetWriter(tmp, group.schema, compression="none")
-        for i, j in zip(bounds[:-1], bounds[1:]):
-            writer.write_table(group.slice(int(i), int(j - i)), row_group_size=int(j - i))
-        writer.close()
-        os.replace(tmp, self.dirs.container_path(part_id))
+        with publishing(self.dirs.container_path(part_id), self.dirs.tmp) as tmp:
+            writer = pq.ParquetWriter(tmp, group.schema, compression="none")
+            for i, j in zip(bounds[:-1], bounds[1:]):
+                writer.write_table(group.slice(int(i), int(j - i)), row_group_size=int(j - i))
+            writer.close()
 
         colnames = group.column("column").to_pylist()
         n_values = group.column("n_values").to_numpy()

@@ -6,7 +6,7 @@ Layout under an encode job's output dir:
       plan.json                 # bucket plan + config echo (deterministic)
       parts/{part_id}.parquet   # encoded container, written atomically
       manifest/{part_id}.json   # lineage record, written LAST (atomic)
-      tmp/                      # staging for atomic renames
+      tmp/                      # tmp files of container publishes
 
 A partition is complete iff its manifest file exists; the container
 rename always precedes the manifest rename, so a crash between the
@@ -18,20 +18,40 @@ O(partitions) driver work.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import uuid
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def publishing(dst: str, tmp_dir: str | None = None):
+    """The one atomic-publish primitive: every file this engine makes
+    visible under its final name goes through here.
+
+        with publishing(dst) as tmp, open(tmp, "wb") as f:
+            f.write(data)
+
+    Yields ``{tmp_dir or dirname(dst)}/.{basename(dst)}.tmp-{hex}``.
+    The name ends in hex, so a crash leftover never matches a reader's
+    ``.json`` / ``.parquet`` / ``.arrow`` listing.  On normal exit the
+    tmp file is fsynced and then ``os.replace``d onto ``dst`` (the
+    data is durable before any name points at it); if the body, the
+    fsync or the rename raises, the tmp file is removed and the error
+    re-raised.  ``tmp_dir`` must be on ``dst``'s filesystem."""
     tmp = os.path.join(
-        os.path.dirname(path), f".tmp-{uuid.uuid4().hex}-{os.path.basename(path)}"
+        tmp_dir or os.path.dirname(dst),
+        f".{os.path.basename(dst)}.tmp-{uuid.uuid4().hex}",
     )
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        with open(tmp, "rb") as f:
+            os.fsync(f.fileno())
+        os.replace(tmp, dst)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class JobDirs:
@@ -58,9 +78,8 @@ class JobDirs:
 
 
 def write_plan(out_dir: str, plan: dict) -> None:
-    _atomic_write_bytes(
-        os.path.join(out_dir, "plan.json"), json.dumps(plan, sort_keys=True).encode()
-    )
+    with publishing(os.path.join(out_dir, "plan.json")) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps(plan, sort_keys=True).encode())
 
 
 def read_plan(out_dir: str) -> dict:
@@ -83,13 +102,8 @@ def read_plan_generations(out_dir: str) -> list[tuple[int, dict]]:
 
 def write_manifest_entry(dirs: JobDirs, part_id: str, record: dict) -> None:
     """Lineage record — written only after the container rename landed."""
-    _atomic_write_bytes(dirs.manifest_path(part_id), json.dumps(record, sort_keys=True).encode())
-
-
-def atomic_rename_into(dirs: JobDirs, tmp_file: str, part_id: str) -> str:
-    dst = dirs.container_path(part_id)
-    os.replace(tmp_file, dst)
-    return dst
+    with publishing(dirs.manifest_path(part_id)) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps(record, sort_keys=True).encode())
 
 
 def completed_partitions(out_dir: str) -> set[str]:
@@ -147,10 +161,8 @@ def write_tombstones(out_dir: str, part_id: str, doc_ids) -> int:
     Returns the merged count."""
     merged = set(read_tombstones(out_dir, part_id) or ()) | {str(d) for d in doc_ids}
     os.makedirs(tombstone_dir(out_dir), exist_ok=True)
-    _atomic_write_bytes(
-        tombstone_path(out_dir, part_id),
-        json.dumps({"doc_ids": sorted(merged)}, sort_keys=True).encode(),
-    )
+    with publishing(tombstone_path(out_dir, part_id)) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps({"doc_ids": sorted(merged)}, sort_keys=True).encode())
     return len(merged)
 
 

@@ -437,7 +437,7 @@ def test_compaction_crash_recovery(ray_session, sf_dir, out_dir):
         plan_compaction,
         recover_compaction,
     )
-    from fileconvert_ray.state.manifest import JobDirs, _atomic_write_bytes
+    from fileconvert_ray.state.manifest import JobDirs, publishing
     from fileconvert_ray.stages.decoder import read_partition
     from fileconvert_ray.stages.encoder import PartitionWriter
 
@@ -451,8 +451,8 @@ def test_compaction_crash_recovery(ray_session, sf_dir, out_dir):
 
     # crash AFTER step 2: intent + new manifest exist, olds not deleted
     g1 = groups[0]
-    _atomic_write_bytes(os.path.join(idir, f"{g1['gid']}.json"),
-                        json.dumps({"olds": g1["olds"]}).encode())
+    with publishing(os.path.join(idir, f"{g1['gid']}.json")) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps({"olds": g1["olds"]}).encode())
     decoded = pa.concat_tables(
         [read_partition(dirs.container_path(p)) for p in g1["olds"]]
     ).combine_chunks()
@@ -460,8 +460,8 @@ def test_compaction_crash_recovery(ray_session, sf_dir, out_dir):
 
     # crash BEFORE the new manifest: intent + orphan container only
     g2 = groups[1]
-    _atomic_write_bytes(os.path.join(idir, f"{g2['gid']}.json"),
-                        json.dumps({"olds": g2["olds"]}).encode())
+    with publishing(os.path.join(idir, f"{g2['gid']}.json")) as tmp, open(tmp, "wb") as f:
+        f.write(json.dumps({"olds": g2["olds"]}).encode())
     with open(dirs.container_path(g2["gid"]), "wb") as f:
         f.write(b"garbage half-written container")
 

@@ -115,7 +115,7 @@ def test_redact_invalidates_sidecars_and_annotate_refills(store):
     from fileconvert_ray.pipelines.annotate_job import run_annotate
 
     ids = phrase_token_ids(store, PHRASE)
-    cand, _ = candidate_partitions_for_ids(store, ids)
+    cand, _ = candidate_partitions_for_ids(store, [ids])
     res = run_redact(store, [PHRASE])
     assert res["sidecars_dropped"] >= res["rewritten"]  # ann + bloom each
     adir = ann_dir(store, "token_stats")

@@ -116,7 +116,7 @@ def test_bloom_prunes_and_never_false_negative(store):
     )
 
     ids = phrase_token_ids(store, PHRASE)
-    cand, total = candidate_partitions_for_ids(store, ids)
+    cand, total = candidate_partitions_for_ids(store, [ids])
     assert 0 < len(cand) <= total
     # the pruned read finds exactly the same docs as the full scan:
     # bloom membership is checked for every phrase unigram AND bigram,
@@ -285,6 +285,57 @@ def test_delete_where_phrase(store, tmp_path):
     assert res2["found"] == 0  # physically gone
     with pytest.raises(ValueError, match="empty"):
         run_delete_matching(enc, [])
+
+
+def _phrases_in_disjoint_partitions(store) -> list[str]:
+    """Two word bigrams each held by exactly one partition, and not
+    the same one."""
+    from fileconvert_ray.stages.decoder import iter_partition_chunks
+    from fileconvert_ray.state.manifest import JobDirs, completed_partitions
+
+    dirs = JobDirs(store)
+    where: dict[tuple[int, int], set[str]] = {}
+    for pid in sorted(completed_partitions(store)):
+        for t in iter_partition_chunks(dirs.container_path(pid), ["tokens"]):
+            for doc in t.column("tokens").to_pylist():
+                for bigram in zip(doc, doc[1:]):
+                    where.setdefault(bigram, set()).add(pid)
+    with open(os.path.join(store, "vocab.json")) as f:
+        vocab = json.load(f)
+    only = [(" ".join(vocab[i] for i in bg), ps.pop())
+            for bg, ps in sorted(where.items()) if len(ps) == 1]
+    first, p1 = only[0]
+    return [first, next(bg for bg, p in only if p != p1)]
+
+
+def test_multi_phrase_pruning_keeps_any_phrase(store, tmp_path):
+    """One bloom probe serves every phrase of a command: with two
+    phrases living in disjoint partitions, the indexed search_many,
+    redact dry run and delete_matching agree with a store that has no
+    index at all."""
+    from fileconvert_ray.pipelines.delete_job import run_delete_matching
+    from fileconvert_ray.pipelines.redact_job import run_redact
+    from fileconvert_ray.pipelines.search_job import run_search_many
+
+    phrases = _phrases_in_disjoint_partitions(store)
+    indexed, bare = str(tmp_path / "indexed"), str(tmp_path / "bare")
+    shutil.copytree(store, indexed)
+    shutil.copytree(store, bare)
+    shutil.rmtree(os.path.join(bare, "index"))
+
+    def hits(enc):
+        df = run_search_many(enc, phrases).to_pandas()
+        return sorted(zip(df["phrase"], df["doc_id"], df["n_hits"].astype(int)))
+
+    assert {p for p, _, _ in hits(indexed)} == set(phrases)
+    assert hits(indexed) == hits(bare)
+    keys = ("rewritten", "docs_redacted", "tokens_redacted")
+    red_i = run_redact(indexed, phrases, dry_run=True)
+    red_b = run_redact(bare, phrases, dry_run=True)
+    assert red_i["rewritten"] == 2
+    assert {k: red_i[k] for k in keys} == {k: red_b[k] for k in keys}
+    found = run_delete_matching(indexed, phrases)["found"]
+    assert found >= 2 and found == run_delete_matching(bare, phrases)["found"]
 
 
 def test_cli_index_and_search(store):
