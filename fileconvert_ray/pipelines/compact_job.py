@@ -31,7 +31,7 @@ import os
 
 import pyarrow as pa
 
-from ..state.manifest import JobDirs, publishing, read_manifest_entries
+from ..state.manifest import JobDirs, publishing, read_manifest_entries, record_names
 
 
 def _intent_dir(out_dir: str) -> str:
@@ -47,39 +47,36 @@ def plan_compaction(
     rewrite).  O(partitions) driver work.
 
     ``preserve_generations`` (default): each group stays WITHIN one
-    ingest generation and the output label carries that generation's
-    tag (``{san}{tag}-c{NNNN}``), so snapshot reads
-    (``decode_dataset(max_gen=...)``) keep working across compaction —
-    the merged rows are still exactly that generation's rows.  Pass
-    ``preserve_generations=False`` to pack across generations (fewer,
-    fuller groups when many generations are each tiny) at the
-    documented cost: snapshot reads refuse afterwards.
-
-    Label discipline: ``-c`` is RESERVED for single-generation
-    compaction outputs (label_generations attributes it).  Groups that
-    mix or lack a generation — cross-gen mode, labels no plan explains,
-    plan.json absent — get ``{san(source)}-x{NNNN}``, which by
-    construction never parses as generation-attributable, so a mixed
-    container can never silently leak into a pinned snapshot.
+    ingest generation and the output gets that (source, generation)'s
+    ``-c`` label, so snapshot reads (``decode_dataset(max_gen=...)``)
+    keep working across compaction — the merged rows are still exactly
+    that generation's rows.  Pass ``preserve_generations=False`` to
+    pack across generations (fewer, fuller groups when many
+    generations are each tiny) at the documented cost: snapshot reads
+    refuse afterwards.  Groups that mix or lack a generation —
+    cross-gen mode, labels no plan attributes, plan.json absent — get
+    a ``-x`` label, which is never attributed, so a mixed container
+    can never silently leak into a pinned snapshot (stages/partition
+    describes the label scheme).
 
     Partitions carrying tombstones (pipelines.delete_job logical
     deletes) are EXCLUDED: compaction rewrites physical rows under a
     new label the tombstone file no longer matches, which would
     resurrect deleted docs — run_purge first, then compact."""
     from ..stages.decoder import label_generations
-    from ..stages.partition import gen_tag, sanitize_id, sanitized_names
+    from ..stages.partition import cross_gen_stem, part_label, plan_stems
     from ..state.manifest import read_plan_generations, tombstoned_partitions
 
     entries = read_manifest_entries(out_dir)
     tombstoned = set(tombstoned_partitions(out_dir))
     gen_of: dict[str, int] = {}
-    gen_san: dict[int, dict[str, str]] = {}
+    stem_of: dict[tuple[str, int], str] = {}  # (source, gen) -> label stem
     if preserve_generations:
         try:
             gen_of = label_generations(out_dir)
-            gen_san = {
-                gen: sanitized_names(buckets)
-                for gen, buckets in read_plan_generations(out_dir)
+            stem_of = {
+                (src, gen): stem
+                for stem, (gen, src, _k) in plan_stems(read_plan_generations(out_dir)).items()
             }
         except FileNotFoundError:
             pass  # no plan: everything packs per source, legacy naming
@@ -96,14 +93,12 @@ def plan_compaction(
     taken = set(entries)  # a re-run must not collide with surviving ids
 
     def new_gid(source: str, gen: int | None, idx: int) -> tuple[str, int]:
-        base = (
-            f"{gen_san[gen][source]}{gen_tag(gen)}-c"
-            if gen is not None
-            else f"{sanitize_id(source)}-x"
+        stem, kind = (
+            (stem_of[(source, gen)], "c") if gen is not None else (cross_gen_stem(source), "x")
         )
-        while f"{base}{idx:04d}" in taken:
+        while part_label(stem, kind, idx) in taken:
             idx += 1
-        gid = f"{base}{idx:04d}"
+        gid = part_label(stem, kind, idx)
         taken.add(gid)
         return gid, idx + 1
 
@@ -160,13 +155,9 @@ def recover_compaction(out_dir: str) -> dict:
     dirs = JobDirs(out_dir)
     idir = _intent_dir(out_dir)
     finished = rolled_back = 0
-    if not os.path.isdir(idir):
-        return {"finished": 0, "rolled_back": 0}
-    for f in sorted(os.listdir(idir)):
-        if not f.endswith(".json"):
-            continue
-        gid = f[:-5]
-        with open(os.path.join(idir, f), "rb") as fh:
+    for gid in sorted(record_names(idir)):
+        intent_path = os.path.join(idir, f"{gid}.json")
+        with open(intent_path, "rb") as fh:
             olds = json.loads(fh.read())["olds"]
         if os.path.exists(dirs.manifest_path(gid)):
             # new partition landed: finish the swap
@@ -180,7 +171,7 @@ def recover_compaction(out_dir: str) -> dict:
             if os.path.exists(dirs.container_path(gid)):
                 os.unlink(dirs.container_path(gid))
             rolled_back += 1
-        os.unlink(os.path.join(idir, f))
+        os.unlink(intent_path)
     return {"finished": finished, "rolled_back": rolled_back}
 
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 from ..stages.encoder import bucket_of_part_ids, stage_raw_task, write_bucket_task
 from ..stages.partition import (
     bucket_plan,
-    gen_tag,
     make_assigner,
     make_resume_filter,
-    sanitized_names,
+    part_label,
     source_stats,
+    source_stems,
 )
 from ..state.manifest import JobDirs, completed_partitions, write_plan
 
@@ -119,7 +119,7 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
     for a single ingest generation.  ``plan``/``stats`` are the
     generation's bucket plan and source token totals; ``done`` rows of
     already-completed partitions are dropped before the shuffle (E7);
-    ``gen`` tags the partition labels (stages/partition.gen_tag) so
+    ``gen`` tags the partition labels (stages/partition label scheme) so
     generations never collide.  Returns the (lazy) metrics Dataset."""
     import shutil
     import uuid
@@ -202,12 +202,11 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
     # Bucket sizes are estimated from the plan (source token totals
     # spread evenly over each source's partitions, partitions hashed
     # to buckets exactly as stage_raw_task does).
-    san = sanitized_names(plan)
-    tag = gen_tag(gen)
+    stems = source_stems(gen, plan)
     est = {}
     for src, k in plan.items():
         per_part = stats.get(src, 0) / max(1, k)
-        pids = [f"{san[src]}{tag}-b{i:04d}" for i in range(int(k))]
+        pids = [part_label(stems[src], "b", i) for i in range(int(k))]
         for b in bucket_of_part_ids(pa.array(pids, type=pa.string()), n_buckets):
             est[int(b)] = est.get(int(b), 0.0) + per_part
     items.sort(key=lambda it: -est.get(it["bucket"], 0.0))
@@ -258,9 +257,10 @@ def run_encode_files(input_files, cfg: EncodeConfig, ds_from_files=None,
     Input lineage lives at FILE granularity in plan.json: each ingest
     GENERATION records the shards it covered (path + size), its own
     bucket plan, and a ``sealed`` flag.  Re-running with a grown file
-    list encodes ONLY the new shards, into fresh ``{src}-g{NN}-b{KKKK}``
-    partitions — completed partitions and their manifests are never
-    touched, so an appended corpus costs O(new data), not a rebuild.
+    list encodes ONLY the new shards, into fresh generation-tagged
+    partitions (stages/partition label scheme) — completed partitions
+    and their manifests are never touched, so an appended corpus costs
+    O(new data), not a rebuild.
     Decode / verify / lookup / queries read across generations
     transparently (manifest-driven).  A run interrupted mid-generation
     resumes at partition granularity (the unsealed generation re-runs

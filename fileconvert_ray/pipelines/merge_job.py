@@ -10,13 +10,12 @@ partition of ``src_dir`` into ``dest_dir`` as NEW ingest generations:
   generation) becomes dest generation ``base + g`` where ``base`` is
   one past dest's highest generation — label tags stay disjoint by
   construction, so nothing in dest is ever touched or renamed.
-- Partition labels re-tag deterministically:
-  ``{san}{old_tag}-b{NNNN}`` -> ``{san}{new_tag}-b{NNNN}`` (same for
-  ``-c`` compaction labels); the sanitized source names are recomputed
-  from each generation's own source set exactly as the encoder did,
-  so the bucket-ordinal arithmetic lookup_docs relies on keeps
-  working on the merged store.  A src partition whose label no
-  generation's plan explains (``-x`` cross-generation compaction
+- Partition labels re-tag deterministically: each label keeps its
+  kind and ordinal and swaps its stem for the same source's stem
+  under the new generation number (stages/partition describes the
+  label scheme), so the bucket-ordinal arithmetic lookup_docs relies
+  on keeps working on the merged store.  A src partition whose label
+  no generation's plan attributes (``-x`` cross-generation compaction
   output) is refused loudly — merging it would break the "mixed
   containers never leak into snapshots" discipline.
 - Container BYTES are not rewritten: files are hardlinked when the
@@ -63,7 +62,14 @@ from ..state.manifest import (
     write_plan,
     write_tombstones,
 )
-from ..stages.partition import gen_tag, sanitized_names
+from ..stages.partition import (
+    label_gen,
+    label_owner,
+    parse_label,
+    part_label,
+    plan_stems,
+    source_stems,
+)
 
 
 def _gen_docs(plan: dict) -> list[dict]:
@@ -89,34 +95,20 @@ def _label_map(src_dir: str, src_gens: list[dict], base: int) -> dict[str, str]:
     """old part_id -> new part_id for every completed src partition.
     Raises on labels no generation's plan explains."""
     entries = read_manifest_entries(src_dir)
-    per_gen = [
-        (int(g["gen"]), dict(g["buckets"]), sanitized_names(g["buckets"]),
-         gen_tag(int(g["gen"])))
-        for g in src_gens
-    ]
+    gens = [(int(g["gen"]), g["buckets"]) for g in src_gens]
+    stems = plan_stems(gens)
+    retag: dict[str, str] = {}  # old stem -> same source's stem at gen + base
+    for gen, buckets in gens:
+        new = source_stems(base + gen, buckets)
+        retag.update({stem: new[src] for src, stem in source_stems(gen, buckets).items()})
     out: dict[str, str] = {}
     unexplained: list[str] = []
     for pid, rec in sorted(entries.items()):
-        src = rec.get("source")
-        hit = None
-        for gen, buckets, san, tag in per_gen:
-            if src not in buckets:
-                continue
-            for kind in ("-b", "-c"):
-                base_lbl = f"{san[src]}{tag}{kind}"
-                if pid.startswith(base_lbl):
-                    suffix = pid[len(base_lbl):]
-                    if suffix.isdigit() and (
-                        kind == "-c" or int(suffix) < int(buckets[src])
-                    ):
-                        hit = f"{san[src]}{gen_tag(base + gen)}{kind}{suffix}"
-                        break
-            if hit:
-                break
-        if hit is None:
+        if label_gen(pid, rec.get("source"), stems) is None:
             unexplained.append(pid)
         else:
-            out[pid] = hit
+            stem, kind, n = parse_label(pid)
+            out[pid] = part_label(retag[stem], kind, n)
     if unexplained:
         raise RuntimeError(
             "merge refused: src partitions not attributable to any ingest "
@@ -213,20 +205,13 @@ def run_drop_generation(out_dir: str, gen: int) -> dict:
     # reconstructible from its own plan record, so sweep any
     # manifest-less sidecar matching it; a crash anywhere before the
     # plan write re-runs this whole path and converges.
-    san = sanitized_names(rec["buckets"])
-    tag = gen_tag(gen)
-    prefixes = tuple(
-        f"{san[src]}{tag}{kind}" for src in rec["buckets"] for kind in ("-b", "-c")
-    )
-
+    gen_stems = plan_stems([(gen, rec["buckets"])])
     victim_set = set(victims)
 
     def _of_gen(pid: str) -> bool:
         if pid in victim_set:
             return True  # re-sweep of a dropped pid's sidecars: no-op
-        return pid not in entries and any(
-            pid.startswith(p) and pid[len(p):].isdigit() for p in prefixes
-        )
+        return pid not in entries and label_owner(pid, gen_stems) is not None
 
     for root, suffix in (
         [(os.path.join(out_dir, "deletes"), ".json")]

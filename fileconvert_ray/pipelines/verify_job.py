@@ -191,32 +191,74 @@ def _hash_partial(batch: pa.Table, plan: dict | None, gen: int = 0) -> pa.Table:
 
 def _container_digest(batch: pa.Table, out_dir: str) -> pa.Table:
     """Decode each listed container and compute its (count, hash-sum)."""
-    import pyarrow.parquet as pq
-
-    from ..stages.decoder import iter_container_chunks
+    from ..stages.decoder import iter_partition_chunks
 
     dirs = JobDirs(out_dir)
     rows = {"part_id": [], "n_rows": [], "hsum": [], "readable": []}
     for part_id in batch.column("part_id").to_pylist():
-        path = dirs.container_path(part_id)
         try:
             n_rows, hsum = 0, np.uint64(0)
-            # chunk-streamed: decode + hash one bounded chunk at a time
-            for chunk in iter_container_chunks(pq.read_table(path)):
+            # row-group-streamed like every decode: one bounded chunk at a time
+            for chunk in iter_partition_chunks(dirs.container_path(part_id)):
                 h = row_hashes(chunk)
                 n_rows += chunk.num_rows
                 with np.errstate(over="ignore"):
                     hsum += h.sum(dtype=np.uint64)
-            rows["part_id"].append(part_id)
-            rows["n_rows"].append(n_rows)
-            rows["hsum"].append(int(hsum.view(np.int64)))
-            rows["readable"].append(True)
+            readable = True
         except Exception:
-            rows["part_id"].append(part_id)
-            rows["n_rows"].append(0)
-            rows["hsum"].append(0)
-            rows["readable"].append(False)
+            n_rows, hsum, readable = 0, np.uint64(0), False
+        rows["part_id"].append(part_id)
+        rows["n_rows"].append(n_rows)
+        rows["hsum"].append(int(hsum.view(np.int64)))
+        rows["readable"].append(readable)
     return pa.Table.from_pydict(rows)
+
+
+def _container_digests(out_dir: str, part_ids: list[str]) -> dict[str, tuple[int, int, bool]]:
+    """part_id -> (n_rows, hash-sum mod 2^64, readable), one decode task
+    per container (no shuffle; parallel tasks)."""
+    import ray.data as rd
+
+    if not part_ids:
+        return {}
+    # one block per partition: from_items defaults to a single block,
+    # which would serialize all container decodes into one task
+    parts_ds = rd.from_items(
+        [{"part_id": p} for p in part_ids], override_num_blocks=len(part_ids)
+    )
+    digests = parts_ds.map_batches(
+        _container_digest, batch_format="pyarrow", batch_size=1,
+        fn_kwargs={"out_dir": out_dir}, num_cpus=1.0,
+    )
+    got = {}
+    for b in digests.iter_batches(batch_size=None, batch_format="pyarrow"):
+        for p, n, s, r in zip(
+            b.column("part_id").to_pylist(),
+            b.column("n_rows").to_pylist(),
+            b.column("hsum").to_pylist(),
+            b.column("readable").to_pylist(),
+        ):
+            got[p] = (int(n), int(s) % (1 << 64), r)
+    return got
+
+
+def _verdicts(keys: list[str], expected: dict, got: dict):
+    """The verify Dataset: one row per key, ok when the container side
+    was readable and its (count, hash-sum) equals the expected one.  An
+    expected hash of None (nothing recorded to compare against) is
+    never ok."""
+    import ray.data as rd
+
+    out = {"part_id": [], "n_rows": [], "ok": [], "n_mismatch": []}
+    for p in keys:
+        n_exp, h_exp = expected.get(p, (0, 0))
+        n_got, h_got, readable = got.get(p, (0, 0, False))
+        ok = readable and n_got == n_exp and h_got == h_exp
+        out["part_id"].append(p)
+        out["n_rows"].append(n_exp)
+        out["ok"].append(ok)
+        out["n_mismatch"].append(0 if ok else max(n_exp, n_got))
+    return rd.from_arrow(pa.Table.from_pydict(out, schema=VERIFY_SCHEMA))
 
 
 def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partition",
@@ -327,8 +369,6 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
             out = verdict if out is None else out.union(verdict)
         return out
 
-    import ray.data as rd
-
     if mode == "manifest":
         # compare container decodes against the digests the encode job
         # recorded in its manifests — no input re-read at all.  Audits
@@ -349,7 +389,7 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
                 p: e for p, e in entries.items() if gen_of.get(p) in set(gens)
             }
         expected = {
-            p: [int(e["digest"]["n_rows"]), int(e["digest"]["hsum"]) % (1 << 64)]
+            p: (int(e["digest"]["n_rows"]), int(e["digest"]["hsum"]) % (1 << 64))
             for p, e in entries.items()
             if "digest" in e
         }
@@ -360,43 +400,9 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
         # an empty result can never read as all-ok
         no_digest = sorted(set(entries) - set(expected))
         part_ids = sorted(expected)
-        if not part_ids and not no_digest:
-            return rd.from_arrow(
-                pa.Table.from_pydict({k: [] for k in VERIFY_SCHEMA.names}, schema=VERIFY_SCHEMA)
-            )
-        got = {}
-        if part_ids:
-            parts_ds = rd.from_items(
-                [{"part_id": p} for p in part_ids], override_num_blocks=len(part_ids)
-            )
-            digests = parts_ds.map_batches(
-                _container_digest, batch_format="pyarrow", batch_size=1,
-                fn_kwargs={"out_dir": out_dir}, num_cpus=1.0,
-            )
-            for b in digests.iter_batches(batch_size=None, batch_format="pyarrow"):
-                for p, n, s, r in zip(
-                    b.column("part_id").to_pylist(),
-                    b.column("n_rows").to_pylist(),
-                    b.column("hsum").to_pylist(),
-                    b.column("readable").to_pylist(),
-                ):
-                    got[p] = (int(n), int(s) % (1 << 64), r)
-        out = {"part_id": [], "n_rows": [], "ok": [], "n_mismatch": []}
-        for p in part_ids:
-            n_exp, h_exp = expected[p]
-            n_got, h_got, readable = got.get(p, (0, 0, False))
-            ok = readable and n_got == n_exp and h_got == h_exp
-            out["part_id"].append(p)
-            out["n_rows"].append(n_exp)
-            out["ok"].append(ok)
-            out["n_mismatch"].append(0 if ok else max(n_exp, n_got))
-        for p in no_digest:
-            n = int(entries[p].get("n_rows", 0))
-            out["part_id"].append(p)
-            out["n_rows"].append(n)
-            out["ok"].append(False)  # 'no digest recorded' — unauditable
-            out["n_mismatch"].append(n)
-        return rd.from_arrow(pa.Table.from_pydict(out, schema=VERIFY_SCHEMA))
+        got = _container_digests(out_dir, part_ids)
+        expected.update((p, (int(entries[p].get("n_rows", 0)), None)) for p in no_digest)
+        return _verdicts(part_ids + no_digest, expected, got)
 
     # pass A: originals -> per-partition (count, hash-sum).  The partial
     # stream is O(tasks x partitions) tiny rows; merge it VECTORIZED
@@ -444,7 +450,7 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
         for p, n, s in zip(denc.dictionary.to_pylist(), counts, sums):
             expected[p] = [int(n), int(s)]
 
-    # pass B: one decode task per container (no shuffle; parallel tasks)
+    # pass B: one decode task per container
     if by == "source":
         from ..state.manifest import read_manifest_entries
 
@@ -452,55 +458,17 @@ def run_verify(ds_factory, out_dir: str, mode: str = "exact", by: str = "partiti
         part_ids = sorted(entries)
     else:
         part_ids = sorted(expected)
-    # one block per partition: from_items defaults to a single block,
-    # which would serialize all container decodes into one task
-    parts_ds = rd.from_items(
-        [{"part_id": p} for p in part_ids], override_num_blocks=max(1, len(part_ids))
-    )
-    digests = parts_ds.map_batches(
-        _container_digest, batch_format="pyarrow", batch_size=1,
-        fn_kwargs={"out_dir": out_dir}, num_cpus=1.0,
-    )
-    got = {}
-    for b in digests.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for p, n, s, r in zip(
-            b.column("part_id").to_pylist(),
-            b.column("n_rows").to_pylist(),
-            b.column("hsum").to_pylist(),
-            b.column("readable").to_pylist(),
-        ):
-            got[p] = (int(n), int(s) % (1 << 64), r)
+    got = _container_digests(out_dir, part_ids)
+    if by != "source":
+        return _verdicts(part_ids, expected, got)
 
-    if by == "source":
-        # roll the per-container digests up to source granularity —
-        # the additive hash-sum makes this exact under any partitioning
-        got_src: dict[str, list] = {}
-        for p in part_ids:
-            src = entries[p]["source"]
-            n, s, r = got.get(p, (0, 0, False))
-            acc = got_src.setdefault(src, [0, 0, True])
-            acc[0] += n
-            acc[1] = (acc[1] + s) % (1 << 64)
-            acc[2] = acc[2] and r
-        keys = sorted(set(expected) | set(got_src))
-        out = {"part_id": [], "n_rows": [], "ok": [], "n_mismatch": []}
-        for src in keys:
-            n_exp, h_exp = expected.get(src, [0, 0])
-            n_got, h_got, readable = got_src.get(src, (0, 0, False))
-            ok = readable and n_got == n_exp and h_got == h_exp
-            out["part_id"].append(src)
-            out["n_rows"].append(n_exp)
-            out["ok"].append(ok)
-            out["n_mismatch"].append(0 if ok else max(n_exp, n_got))
-        return rd.from_arrow(pa.Table.from_pydict(out, schema=VERIFY_SCHEMA))
-
-    out = {"part_id": [], "n_rows": [], "ok": [], "n_mismatch": []}
+    # roll the per-container digests up to source granularity — the
+    # additive hash-sum makes this exact under any partitioning
+    got_src: dict[str, list] = {}
     for p in part_ids:
-        n_exp, h_exp = expected[p]
-        n_got, h_got, readable = got.get(p, (0, 0, False))
-        ok = readable and n_got == n_exp and h_got == h_exp
-        out["part_id"].append(p)
-        out["n_rows"].append(n_exp)
-        out["ok"].append(ok)
-        out["n_mismatch"].append(0 if ok else max(n_exp, n_got))
-    return rd.from_arrow(pa.Table.from_pydict(out, schema=VERIFY_SCHEMA))
+        n, s, r = got.get(p, (0, 0, False))
+        acc = got_src.setdefault(entries[p]["source"], [0, 0, True])
+        acc[0] += n
+        acc[1] = (acc[1] + s) % (1 << 64)
+        acc[2] = acc[2] and r
+    return _verdicts(sorted(set(expected) | set(got_src)), expected, got_src)

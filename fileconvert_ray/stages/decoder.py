@@ -38,6 +38,19 @@ def _needed_encoded(columns: list[str] | None) -> set[str] | None:
     return need
 
 
+def _list_column(lens: pa.Array, values: pa.Array) -> pa.ListArray:
+    """List array whose offsets are re-derived from the encoded per-row
+    lengths (never trusted from a sliced Arrow offset buffer); a null
+    length makes a null list row, round-tripped bit-identically."""
+    mask = None
+    if lens.null_count:
+        # offsets[i] null marks list i null; the final offset stays valid
+        mask = np.concatenate((~lens.is_valid().to_numpy(zero_copy_only=False), [False]))
+        lens = lens.fill_null(0)
+    offs = np.concatenate(([0], np.cumsum(lens.to_numpy(zero_copy_only=False).astype(np.int64))))
+    return pa.ListArray.from_arrays(pa.array(offs, type=pa.int32(), mask=mask), values)
+
+
 def _decode_chunk(rows: dict[str, list], columns: list[str] | None = None) -> pa.Table:
     cols: dict[str, pa.Array] = {}
     for i in range(len(rows["column"])):
@@ -51,90 +64,31 @@ def _decode_chunk(rows: dict[str, list], columns: list[str] | None = None) -> pa
             crc32=rows["crc32"][i],
         )
         cols[enc.column] = decode_array(enc)
+
+    def build(name: str) -> pa.Array:
+        # tokens and list side columns ``x`` (stored as x@lens + x@values)
+        # are rebuilt from their lengths; everything else decodes as is
+        if name == "tokens":
+            return _list_column(cols["n_tok"], cols["tokens"])
+        if name + "@values" in cols:
+            return _list_column(cols[name + "@lens"], cols[name + "@values"])
+        return cols[name]
+
     if columns is not None:
         # projected decode: assemble ONLY the requested columns
-        built: dict[str, pa.Array] = {}
-        for name in columns:
-            if name == "tokens":
-                lens = cols["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
-                offs = np.concatenate(([0], np.cumsum(lens)))
-                built[name] = pa.ListArray.from_arrays(
-                    pa.array(offs, type=pa.int32()), cols["tokens"]
-                )
-            elif name + "@values" in cols:
-                lens_arr = cols[name + "@lens"]
-                filled = lens_arr.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-                offs = np.concatenate(([0], np.cumsum(filled)))
-                offsets = pa.array(offs, type=pa.int32())
-                if lens_arr.null_count:
-                    null_mask = np.concatenate(
-                        (~lens_arr.is_valid().to_numpy(zero_copy_only=False), [False])
-                    )
-                    offsets = pa.array(offs, type=pa.int32(), mask=null_mask)
-                built[name] = pa.ListArray.from_arrays(offsets, cols[name + "@values"])
-            else:
-                built[name] = cols[name]
-        return pa.table(built)
-    n_tok = cols["n_tok"]
-    lens = n_tok.to_numpy(zero_copy_only=False).astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    tokens = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), cols["tokens"])
+        return pa.table({name: build(name) for name in columns})
     out = pa.Table.from_arrays(
-        [cols["doc_id"], tokens, n_tok, cols["source"]], schema=INPUT_SCHEMA
+        [cols["doc_id"], build("tokens"), cols["n_tok"], cols["source"]], schema=INPUT_SCHEMA
     )
-    for name, arr in cols.items():  # side columns, in container row order
-        if name in INPUT_SCHEMA.names:
-            continue
-        if name.endswith("@lens"):
-            continue  # consumed by its @values partner below
-        if name.endswith("@values"):
-            # list side column: offsets re-derived from the encoded
-            # per-row lengths, same discipline as tokens/n_tok (null
-            # lengths -> null list rows, round-tripped bit-identically)
-            base = name[: -len("@values")]
-            lens_arr = cols[base + "@lens"]
-            filled = lens_arr.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-            offs = np.concatenate(([0], np.cumsum(filled)))
-            offsets = pa.array(offs, type=pa.int32())
-            if lens_arr.null_count:
-                # offsets[i] null marks list i null; the final offset stays valid
-                null_mask = np.concatenate(
-                    (~lens_arr.is_valid().to_numpy(zero_copy_only=False), [False])
-                )
-                offsets = pa.array(offs, type=pa.int32(), mask=null_mask)
-            out = out.append_column(base, pa.ListArray.from_arrays(offsets, arr))
-        else:
-            out = out.append_column(name, arr)
+    for name in cols:  # side columns, in container row order
+        if name in INPUT_SCHEMA.names or name.endswith("@lens"):
+            continue  # a @lens column is consumed by its @values partner
+        base = name[: -len("@values")] if name.endswith("@values") else name
+        out = out.append_column(base, build(base))
     return out
 
 
 _CHUNK_COLS = ("column", "codec", "params", "payload", "n_values", "crc32", "plain_bytes")
-
-
-def iter_container_chunks(cont: pa.Table):
-    """Yield one decoded tokseq sub-table per encoded chunk.
-
-    Streaming granularity = chunk size (bounded at encode time), so a
-    consumer's transient allocations stay small no matter how large the
-    partition is — large short-lived buffers are returned to the kernel
-    by glibc and re-faulting them across 32 concurrent workers is the
-    dominant decode cost, not the codec math.  Payload bytes are copied
-    out per CHUNK, never all at once (round-2 verdict #10 replaced the
-    whole-container to_pylist)."""
-    cont = cont.combine_chunks()
-    if cont.num_rows == 0:
-        return
-    # rows of one chunk_uid are not guaranteed contiguous here (stores
-    # written by the retired object-store shuffle concatenated arbitrary
-    # chunk rows): group by code, then take() each chunk's rows — copies
-    # bounded by chunk size
-    codes = cont.column("chunk_uid").combine_chunks().dictionary_encode().indices.to_numpy(zero_copy_only=False)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(sorted_codes)) + 1, [len(sorted_codes)]))
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        sub = cont.take(pa.array(order[i:j]))
-        yield _decode_chunk({k: sub.column(k).to_pylist() for k in _CHUNK_COLS})
 
 
 def _chunk_zone_skip(sub: pa.Table, n_tok_range) -> bool:
@@ -241,43 +195,24 @@ def prune_partitions(
 
 
 def label_generations(out_dir: str) -> dict[str, int]:
-    """part_id -> ingest generation, for every completed partition whose
-    label reconstructs from the persisted bucket plan: encoder outputs
-    ``{san}{tag}-b{NNNN}`` (bucket ordinal under that generation's
-    count) and generation-preserving compaction outputs
-    ``{san}{tag}-c{NNNN}`` (compact_job packs each group WITHIN one
-    generation precisely so this attribution survives the rewrite;
-    the ordinal is a free counter, not a bucket).  Labels that parse
-    as neither are absent from the map — the caller decides whether
-    that means "refuse" (snapshot reads) or "whole-source fallback"
-    (lookup routing).  Raises FileNotFoundError when plan.json is
-    absent.  O(partitions x generations) driver work, no I/O beyond
+    """part_id -> ingest generation, for every completed partition the
+    persisted bucket plan attributes (stages.partition.label_gen: the
+    label scheme and its one attribution rule are described there).
+    Unattributed labels are absent from the map — the caller decides
+    whether that means "refuse" (snapshot reads) or "whole-source
+    fallback" (lookup routing).  Raises FileNotFoundError when
+    plan.json is absent.  O(partitions) driver work, no I/O beyond
     the manifest dir + plan.json."""
     from ..state.manifest import read_manifest_entries, read_plan_generations
-    from ..stages.partition import gen_tag, sanitized_names
+    from ..stages.partition import label_gen, plan_stems
 
     entries = read_manifest_entries(out_dir)
-    gens = read_plan_generations(out_dir)  # FileNotFoundError if no plan
-    # per-generation sanitized names: computed from THAT generation's
-    # source set, exactly as the encoder did when writing the labels
-    per_gen = [
-        (gen, buckets, sanitized_names(buckets), gen_tag(gen)) for gen, buckets in gens
-    ]
+    stems = plan_stems(read_plan_generations(out_dir))  # FileNotFoundError if no plan
     gen_of: dict[str, int] = {}
     for pid, rec in entries.items():
-        src = rec.get("source")
-        for gen, buckets, san, tag in per_gen:
-            if src not in buckets:
-                continue
-            for kind in ("-b", "-c"):
-                base = f"{san[src]}{tag}{kind}"
-                if not pid.startswith(base):
-                    continue
-                suffix = pid[len(base):]
-                if suffix.isdigit() and (
-                    kind == "-c" or int(suffix) < int(buckets[src])
-                ):
-                    gen_of[pid] = gen
+        gen = label_gen(pid, rec.get("source"), stems)
+        if gen is not None:
+            gen_of[pid] = gen
     return gen_of
 
 
@@ -542,7 +477,7 @@ def candidate_partitions(
     lookup_docs (point reads) and delete_job.run_delete (tombstone
     targeting); O(manifest) driver work, no container opens."""
     from ..state.manifest import read_manifest_entries, read_plan_generations
-    from ..stages.partition import gen_tag, sanitized_names
+    from ..stages.partition import label_gen, parse_label, part_label, plan_stems
     from ..util.hashing import hash_strings_u64
 
     want = sorted({str(d) for d in doc_ids})
@@ -552,46 +487,27 @@ def candidate_partitions(
 
     entries = read_manifest_entries(out_dir)
     try:
-        gens = read_plan_generations(out_dir)  # [(gen, {source: k})]
+        stems = plan_stems(read_plan_generations(out_dir))
     except FileNotFoundError:
-        gens = None
+        stems = {}
 
     cand: set[str] = set()
-    planned: set[str] = set()  # labels reconstructable from some generation's plan
-    if gens is not None:
-        for gen, buckets in gens:
-            san = sanitized_names(buckets)
-            tag = gen_tag(gen)
-            for src, k in sorted(buckets.items()):
-                if sources is not None and src not in sources:
-                    continue
-                k = int(k)
-                if k <= 0:
-                    continue
-                base = f"{san[src]}{tag}-b"
-                # candidate = the one planned bucket per generation; a
-                # planned bucket with no manifest holds no completed
-                # rows, by the encoder's completion contract
-                for h in np.unique(hv % np.uint64(k)).tolist():
-                    label = f"{base}{int(h):04d}"
-                    if label in entries:
-                        cand.add(label)
-                # planned-label set, built WITHOUT enumerating all k
-                # buckets (k can be millions at scale): mark the
-                # manifest labels that parse as this (source, gen)
-                # scheme with an in-range bucket ordinal
-                for pid, rec in entries.items():
-                    if rec.get("source") != src or not pid.startswith(base):
-                        continue
-                    suffix = pid[len(base):]
-                    if suffix.isdigit() and int(suffix) < k:
-                        planned.add(pid)
-    # whole-source fallback for everything the plan can't explain:
+    for stem, (_gen, src, k) in stems.items():
+        if (sources is not None and src not in sources) or k <= 0:
+            continue
+        # candidate = the one planned bucket per generation; a planned
+        # bucket with no manifest holds no completed rows, by the
+        # encoder's completion contract
+        for h in np.unique(hv % np.uint64(k)).tolist():
+            label = part_label(stem, "b", int(h))
+            if entries.get(label, {}).get("source") == src:
+                cand.add(label)
+    # whole-source fallback for every label but an attributed -b bucket:
     # compaction output, foreign labels, or a missing plan.json
     for pid, rec in entries.items():
         src = rec.get("source")
         if sources is not None and src not in sources:
             continue
-        if pid not in planned:
+        if label_gen(pid, src, stems) is None or parse_label(pid)[1] != "b":
             cand.add(pid)
     return cand

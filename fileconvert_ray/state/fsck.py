@@ -15,20 +15,24 @@ Error vs warning contract (errors => CLI exit 1):
 errors   — a manifest entry whose container file is MISSING, or whose
            on-disk size differs from the recorded ``container_bytes``
            (truncation/partial copy: decode would fail or lie);
-           unparseable plan.json / manifest json; a ``-b`` part_id no
-           generation of the plan explains (foreign or stale data that
-           decode WOULD read); a tombstone for an unknown part_id
-           (a delete that silently protects nothing).
+           unparseable plan.json / manifest json; a part_id the plan
+           does not attribute to its record's source (stages/partition
+           label_gen) and that is not that source's ``-x`` compaction
+           output (foreign or stale data that decode WOULD read); a
+           tombstone for an unknown part_id (a delete that silently
+           protects nothing).
 warnings — planned partitions with no manifest entry (incomplete job:
            resumable, not corrupt); orphan containers in parts/ with
            no manifest (crash between the two renames — the design's
            documented benign leftover); tmp/ + staged/ scratch bytes;
+           dot-named publish leftovers in manifest/, deletes/ and
+           compact/ (a crash before the rename: no reader lists them);
            a manifest entry with no round-trip digest (verify
            --mode manifest would report it ok=False, not silence).
 
 ``reclaim=True`` deletes the reclaimable classes only: orphan
-containers, tmp/ scratch, and — only when the job is COMPLETE (no
-missing planned partitions) — staged/ shuffle scratch.
+containers, tmp/ scratch, publish leftovers, and — only when the job
+is COMPLETE (no missing planned partitions) — staged/ shuffle scratch.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .manifest import (
     JobDirs,
     read_manifest_entries,
     read_plan_generations,
+    tombstone_dir,
     tombstoned_partitions,
 )
 
@@ -59,7 +64,7 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
     """Audit ``out_dir``; returns a JSON-able report (see module doc).
 
     ``report["ok"]`` is True iff no errors (warnings allowed)."""
-    from ..stages.partition import gen_tag, sanitized_names
+    from ..stages.partition import cross_gen_stem, label_gen, parse_label, part_label, plan_stems
 
     dirs = JobDirs(out_dir)
     errors: list[dict] = []
@@ -75,15 +80,8 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         errors.append({"kind": "bad_plan", "detail": f"plan.json unparseable: {e}"})
 
-    planned: set[str] = set()
-    prefixes: set[str] = set()  # {san}{gen_tag} stems compaction may reuse
-    if plan_gens:
-        for gen, buckets in plan_gens:
-            san = sanitized_names(buckets)
-            for src, k in buckets.items():
-                stem = san[src] + gen_tag(gen)
-                prefixes.add(stem)
-                planned.update(f"{stem}-b{i:04d}" for i in range(int(k)))
+    stems = plan_stems(plan_gens) if plan_gens else {}
+    planned = {part_label(stem, "b", i) for stem, (_, _, k) in stems.items() for i in range(k)}
 
     # ---- manifest entries <-> container files ----------------------
     try:
@@ -97,7 +95,14 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
         if os.path.isdir(dirs.parts)
         else set()
     )
+    # sources whose containers were (partly) compacted: their missing
+    # -b partitions were merged away, not lost
+    compacted_sources: set[str] = set()
     for pid, rec in sorted(entries.items()):
+        src = rec.get("source", "")
+        parsed = parse_label(pid)
+        if parsed is not None and parsed[1] != "b":
+            compacted_sources.add(src)
         fname = f"{pid}.parquet"
         path = dirs.container_path(pid)
         if fname not in part_files:
@@ -112,32 +117,20 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
             )
         if not rec.get("digest"):
             warnings.append({"kind": "no_digest", "part_id": pid})
-        if plan_gens is not None and pid not in planned:
-            # compaction emits {stem}-c{NNNN} (generation-preserving)
-            # or {san}-x{NNNN} (cross-gen); anything else with a -b
-            # label (or an unknown stem) is data no plan explains
-            stem, label = pid.rsplit("-", 1)
-            if not (label[:1] in ("c", "x") and stem in prefixes):
-                errors.append({"kind": "unplanned_partition", "part_id": pid})
+        # the plan attributes it, or it is its own source's -x
+        # (cross-generation) compaction output; anything else is data
+        # no plan explains
+        if (
+            plan_gens is not None
+            and label_gen(pid, src, stems) is None
+            and (parsed is None or parsed[:2] != (cross_gen_stem(src), "x"))
+        ):
+            errors.append({"kind": "unplanned_partition", "part_id": pid})
 
-    # sources whose containers were (partly) compacted: their missing
-    # -b partitions were merged away, not lost
-    compacted_sources = {
-        rec.get("source")
-        for pid, rec in entries.items()
-        if pid.rsplit("-", 1)[-1][:1] in ("c", "x")
-    }
-    missing = sorted(planned - set(entries)) if plan_gens else []
     incomplete, merged = [], []
-    if missing and plan_gens:
-        stem_src: dict[str, str] = {}
-        for gen, buckets in plan_gens:
-            san = sanitized_names(buckets)
-            for src in buckets:
-                stem_src[san[src] + gen_tag(gen)] = src
-        for pid in missing:
-            src = stem_src.get(pid.rsplit("-", 1)[0])
-            (merged if src in compacted_sources else incomplete).append(pid)
+    for pid in sorted(planned - set(entries)):
+        src = stems[parse_label(pid)[0]][1]
+        (merged if src in compacted_sources else incomplete).append(pid)
     if merged:
         warnings.append(
             {"kind": "compacted_away", "count": len(merged),
@@ -250,7 +243,19 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
     # ---- scratch ----------------------------------------------------
     tmp_files = _scratch_files(dirs.tmp)
     staged_files = _scratch_files(dirs.staged)
-    for kind, files in (("tmp_scratch", tmp_files), ("staged_scratch", staged_files)):
+    # dot-named files beside the records are publish tmp files a crash
+    # left before their rename (state.manifest.record_names skips them)
+    publish_files = [
+        (p, sz)
+        for d in (dirs.manifest, tombstone_dir(out_dir), os.path.join(out_dir, "compact"))
+        for p, sz in _scratch_files(d)
+        if os.path.basename(p).startswith(".")
+    ]
+    for kind, files in (
+        ("tmp_scratch", tmp_files),
+        ("staged_scratch", staged_files),
+        ("publish_scratch", publish_files),
+    ):
         if files:
             warnings.append(
                 {"kind": kind, "count": len(files),
@@ -259,7 +264,7 @@ def fsck(out_dir: str, *, reclaim: bool = False) -> dict:
 
     reclaimed = {"files": 0, "bytes": 0}
     if reclaim:
-        victims = list(tmp_files) + [
+        victims = tmp_files + publish_files + [
             (p, os.path.getsize(p)) for p in orphan_paths + stale_ann + stale_idx
         ]
         # staged/ is shuffle scratch a RESUME of an incomplete job does

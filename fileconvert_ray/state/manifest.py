@@ -106,22 +106,26 @@ def write_manifest_entry(dirs: JobDirs, part_id: str, record: dict) -> None:
         f.write(json.dumps(record, sort_keys=True).encode())
 
 
+def record_names(d: str) -> list[str]:
+    """Names of the ``{name}.json`` records in directory ``d`` (manifest
+    entries, tombstones, compaction intents), unsorted; [] when ``d`` is
+    absent.  Dot-names are skipped: they are publish leftovers, both
+    ``publishing``'s and the older ``.tmp-{hex}-{name}.json`` form."""
+    if not os.path.isdir(d):
+        return []
+    return [f[:-5] for f in os.listdir(d) if f.endswith(".json") and not f.startswith(".")]
+
+
 def completed_partitions(out_dir: str) -> set[str]:
-    mdir = os.path.join(out_dir, "manifest")
-    if not os.path.isdir(mdir):
-        return set()
-    return {f[:-5] for f in os.listdir(mdir) if f.endswith(".json")}
+    return set(record_names(os.path.join(out_dir, "manifest")))
 
 
 def read_manifest_entries(out_dir: str) -> dict[str, dict]:
     out = {}
     mdir = os.path.join(out_dir, "manifest")
-    if not os.path.isdir(mdir):
-        return out
-    for f in os.listdir(mdir):
-        if f.endswith(".json"):
-            with open(os.path.join(mdir, f), "rb") as fh:
-                out[f[:-5]] = json.loads(fh.read())
+    for name in record_names(mdir):
+        with open(os.path.join(mdir, f"{name}.json"), "rb") as fh:
+            out[name] = json.loads(fh.read())
     return out
 
 
@@ -175,7 +179,4 @@ def clear_tombstones(out_dir: str, part_id: str) -> None:
 
 def tombstoned_partitions(out_dir: str) -> list[str]:
     """part_ids that currently carry a tombstone file, sorted."""
-    d = tombstone_dir(out_dir)
-    if not os.path.isdir(d):
-        return []
-    return sorted(f[:-5] for f in os.listdir(d) if f.endswith(".json"))
+    return sorted(record_names(tombstone_dir(out_dir)))

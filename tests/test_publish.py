@@ -69,8 +69,16 @@ def test_crash_before_rename_is_invisible_to_readers(enc_dir, tmp_path):
     for site in ("manifest", "tombstones", "compact"):
         rc = subprocess.run([sys.executable, "-c", _CRASH, d, site], env=env).returncode
         assert rc == 1, f"{site}: the publish never reached its rename"
+    # the tmp name of older builds, .tmp-{hex}-{name}.json, kept the
+    # .json suffix; a store that crashed under one still holds it
+    pid = sorted(parts)[0]
+    for s, body in (("manifest", open(os.path.join(d, "manifest", f"{pid}.json")).read()),
+                    ("deletes", '{"doc_ids": ["doc-never-deleted"]}'),
+                    ("compact", '{"olds": []}')):
+        with open(os.path.join(d, s, f".tmp-0123abcd-{pid}.json"), "w") as f:
+            f.write(body)
     left = {s: _leftovers(os.path.join(d, s)) for s in ("manifest", "deletes", "compact")}
-    assert all(len(v) == 1 for v in left.values()), left
+    assert all(len(v) == 2 for v in left.values()), left
 
     assert completed_partitions(d) == parts
     assert tombstoned_partitions(d) == []
@@ -81,6 +89,13 @@ def test_crash_before_rename_is_invisible_to_readers(enc_dir, tmp_path):
     assert _leftovers(os.path.join(d, "compact")) == left["compact"]
 
     run_encode(FACTORY, EncodeConfig(out_dir=d, **CFG)).materialize()
+    assert completed_partitions(d) == parts
+
+    # fsck reports every leftover as reclaimable scratch, and reclaims it
+    (w,) = [w for w in fsck(d)["warnings"] if w["kind"] == "publish_scratch"]
+    assert w["count"] == 6
+    assert fsck(d, reclaim=True)["ok"]
+    assert all(_leftovers(os.path.join(d, s)) == [] for s in left)
     assert completed_partitions(d) == parts
 
 
