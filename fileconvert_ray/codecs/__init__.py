@@ -96,6 +96,22 @@ for _c in (PlainStr(), DictStr(), FsstStr()):
 for _c in (PlainFixed(), Plane(), Alp(), AlpRd()):
     register(_c)
 
+
+def encode_topped(c, data, zstd: bool, **kw) -> tuple[dict, bytes, int | None, int]:
+    """One codec encode plus the zstd topper, kept only when it shrinks
+    the payload: ``(cparams, payload, zlen, total_bytes)``, where
+    ``zlen`` is the pre-topper payload length (None when not topped)
+    and ``total_bytes`` counts the payload and the JSON params."""
+    cparams, payload = c.encode(data, **kw)
+    zlen = None
+    if zstd and len(payload) > 64:
+        z = pa.compress(payload, codec="zstd", asbytes=True)
+        if len(z) < len(payload):
+            zlen = len(payload)
+            payload = z
+    return cparams, payload, zlen, len(payload) + len(json.dumps(cparams))
+
+
 _INT_TYPES = {pa.int8(), pa.int16(), pa.int32(), pa.int64(), pa.uint8(), pa.uint16(), pa.uint32()}
 
 
@@ -170,16 +186,21 @@ def encode_array(
     `fsst_table`: optional pre-trained FSST SymbolTable (actor-pool
     state shared across batches of the same source — SURVEY §2.2 E5).
 
-    `trial=True` (big int chunks only): the selector's sample projection
-    is blind to sublinear codec costs (the rANS freq table saturates at
-    the alphabet size far beyond any affordable sample), so REALLY
-    encode every close candidate (projection within 25%, max 3) on THIS
-    chunk and keep the winner — smallest size, with the fastest encoder
-    taking ties within 0.2% (below run noise).  Same-data comparison is
-    the only statistically valid one: per-chunk size variance across
-    different chunks exceeds the codec deltas.  Callers cache/lock the
-    winning codec per (source, column) so the extra encodes happen once
-    per key per worker process in a job (see
+    A chunk no longer than the selector's sample is encoded once: the
+    selector's whole-column encodes come back through `select_ranked(
+    measured=...)` and the winner's is kept as is.
+
+    `trial=True` (int chunks of at least TRIAL_MIN_N values): the
+    selector's sample projection is blind to sublinear codec costs (the
+    rANS freq table saturates at the alphabet size far beyond any
+    affordable sample), so REALLY encode the top 2 on THIS chunk — the
+    leader, plus the runner-up when its projection is within 25% — and
+    keep the winner: smallest size, with the fastest encoder taking
+    ties within 0.2% (below run noise).  Same-data comparison is the
+    only statistically valid one: per-chunk size variance across
+    different chunks exceeds the codec deltas.  Callers cache the
+    winning codec per (source, column), so the extra encode happens
+    once per key per worker process in a job (see
     stages/encoder.encode_partition_table).
     """
     arr = _as_array(arr)
@@ -271,42 +292,43 @@ def encode_array(
     else:
         raise CodecError(f"unsupported column type {arr.type} for {column}")
 
-    def run_codec(name: str, data=None):
-        """Encode with one codec + the zstd topper; returns the final
-        (name, cparams, payload, zlen, total_bytes) candidate tuple."""
-        data = payload_input if data is None else data
-        c = table[name]
-        if name == "fsst" and kind == "str" and fsst_table is not None:
-            cparams, payload = c.encode(data, table=fsst_table)
-        else:
-            cparams, payload = c.encode(data)
-        zlen = None
-        if zstd and len(payload) > 64:
-            z = pa.compress(payload, codec="zstd", asbytes=True)
-            if len(z) < len(payload):
-                zlen = len(payload)
-                payload = z
-        return name, cparams, payload, zlen, len(payload) + len(json.dumps(cparams))
+    def run_codec(name: str):
+        """Encode the chunk with one codec + the zstd topper; returns
+        the (name, cparams, payload, zlen, total_bytes) candidate."""
+        kw = {"table": fsst_table} if name == "fsst" and fsst_table is not None else {}
+        return (name, *encode_topped(table[name], payload_input, zstd, **kw))
 
     if codec == "auto":
         import time as _time
 
         from ..selector import select_ranked  # late import: selector needs registry
 
-        ranked = select_ranked(payload_input, kind, zstd=zstd, target_n=n)
+        measured: dict = {}
+        ranked = select_ranked(payload_input, kind, zstd=zstd, target_n=n, measured=measured)
+        # a whole-column selection already holds each candidate's encode
+        # of this chunk.  Re-encoded instead: fsst with a caller's
+        # trained table, and int plain of a narrower dtype, whose payload
+        # keeps the native width while the selector encoded int64 (every
+        # other int codec's bytes do not depend on the input width)
+        if kind == "int" and values.dtype != np.int64:
+            measured.pop("plain", None)
+        if fsst_table is not None:
+            measured.pop("fsst", None)
         names = [ranked[0][0]]
-        if trial and kind == "int" and n >= TRIAL_MIN_N:
-            # every candidate within 25% of the projected best: projection
-            # noise across sample windows is larger than the real codec
-            # deltas, and with the lead-election registry this whole trial
-            # runs once per (source, column) per JOB — capping it would
-            # save milliseconds and risk dropping the true winner
-            names += [nm for nm, s in ranked[1:] if s <= 1.25 * ranked[0][1]]
+        if (
+            trial and kind == "int" and n >= TRIAL_MIN_N and len(ranked) > 1
+            and ranked[1][1] <= 1.25 * ranked[0][1]
+        ):
+            # the runner-up when it is within 25% of the projected best:
+            # projection noise across sample windows is larger than the
+            # real codec deltas, so only a same-chunk encode can order
+            # the two; the caller caches the winner per (source, column)
+            names.append(ranked[1][0])
         cands = []
         for nm in names:
             try:
                 t0 = _time.perf_counter()
-                out = run_codec(nm)
+                out = (nm, *measured[nm]) if nm in measured else run_codec(nm)
                 cands.append((out, _time.perf_counter() - t0))
             except Exception:
                 continue

@@ -22,6 +22,7 @@ numpy (symbol-table gather + ragged mask ravel), including escapes.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 
@@ -80,7 +81,6 @@ class SymbolTable:
         if len(symbols) > MAX_SYMBOLS:
             raise ValueError("too many symbols")
         self.symbols = symbols
-        self._pat = _compile(symbols)
         self._code = {s: bytes([i]) for i, s in enumerate(symbols)}
         # decode gather table: (256, 8) byte matrix + lengths
         self._mat = np.zeros((256, MAX_SYMBOL_LEN), dtype=np.uint8)
@@ -106,6 +106,12 @@ class SymbolTable:
             symbols.append(blob[pos + 1 : pos + 1 + ln])
             pos += 1 + ln
         return cls(symbols)
+
+    @functools.cached_property
+    def _pat(self) -> re.Pattern:
+        # compiled on first use: only encode_re needs the 255-way
+        # alternation, and it is most of a table's construction cost
+        return _compile(self.symbols)
 
     def encode_re(self, data: bytes) -> bytes:
         """Reference encoder (regex alternation, one Python call per

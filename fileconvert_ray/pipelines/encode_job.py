@@ -13,7 +13,8 @@
        same-chunk codec trial (once per (source, column) in each worker
        process) + encode ONCE, E8/E6 atomic container+manifest
        (+ content digest) per partition
-    -> returns a small metrics Dataset (one row per partition)
+    -> materializes the small metrics Dataset (one row per partition)
+       and removes the pass's staged scratch
 
 This is the only encode path.  Containers, manifests and (by default)
 the staged scratch all live under ``out_dir``, so a multi-node run
@@ -69,7 +70,8 @@ def run_encode(ds_factory, cfg: EncodeConfig, stats_factory=None):
     materializing the whole input).  ``stats_factory`` optionally
     provides a column-pruned (source, n_tok) dataset for the stats pass
     — for parquet inputs that read is ~10x cheaper than the full scan.
-    Returns the metrics Dataset."""
+    Returns the materialized metrics Dataset: every container is
+    published and the staged scratch removed when this returns."""
     if not cfg.resume:
         # resume=False means REBUILD: clear prior containers/manifests so
         # part_ids from an older plan can't survive next to the new ones
@@ -120,8 +122,9 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
     generation's bucket plan and source token totals; ``done`` rows of
     already-completed partitions are dropped before the shuffle (E7);
     ``gen`` tags the partition labels (stages/partition label scheme) so
-    generations never collide.  Returns the (lazy) metrics Dataset."""
-    import shutil
+    generations never collide.  Runs the pass to completion, removes its
+    staged scratch and returns the materialized metrics Dataset, so
+    consuming the result twice never re-runs a reduce task."""
     import uuid
 
     import numpy as np
@@ -142,8 +145,7 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
     staged_dir = cfg.staged_dir or JobDirs(cfg.out_dir).staged
     # staged files are this run's shuffle scratch; stale ones from a
     # crashed run are never referenced (metadata rows die with it)
-    shutil.rmtree(staged_dir, ignore_errors=True)
-    os.makedirs(staged_dir, exist_ok=True)
+    _clear_staged(staged_dir)
     # Map side: spill raw rows bucket-then-part_id sorted with
     # parquet-zstd as transport (C++ columnar encode — the Python codecs
     # run exactly once, reduce-side, per partition).  Whole-block
@@ -211,7 +213,7 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
             est[int(b)] = est.get(int(b), 0.0) + per_part
     items.sort(key=lambda it: -est.get(it["bucket"], 0.0))
     reduce_ds = rd.from_items(items, override_num_blocks=len(items))
-    return reduce_ds.map_batches(
+    metrics = reduce_ds.map_batches(
         write_bucket_task,
         batch_format="pyarrow",
         batch_size=1,
@@ -226,7 +228,17 @@ def _encode_pass(ds_factory, cfg: EncodeConfig, plan: dict, stats: dict,
             "restage_bytes": cfg.bucket_restage_bytes,
         },
         num_cpus=1.0,
-    )
+    ).materialize()
+    _clear_staged(staged_dir)
+    return metrics
+
+
+def _clear_staged(staged_dir: str) -> None:
+    """Empty the staged-shuffle scratch directory (kept, empty)."""
+    import shutil
+
+    shutil.rmtree(staged_dir, ignore_errors=True)
+    os.makedirs(staged_dir, exist_ok=True)
 
 
 # -------------------------- incremental (append-aware) encode
@@ -341,7 +353,7 @@ def run_encode_files(input_files, cfg: EncodeConfig, ds_from_files=None,
             lambda f=gfiles: ds_from_files(f), cfg, dict(g["buckets"]),
             {k: int(v) for k, v in g["source_tokens"].items()},
             done=done, gen=int(g["gen"]),
-        ).materialize()
+        )
         results.append(m)
         g["sealed"] = True
         _write_gen_plan(cfg.out_dir, gens, cfg)
@@ -365,7 +377,7 @@ def run_encode_files(input_files, cfg: EncodeConfig, ds_from_files=None,
         m = _encode_pass(
             lambda: ds_from_files(new_files), cfg, plan, stats,
             done=done, gen=gen_no,
-        ).materialize()
+        )
         results.append(m)
         g["sealed"] = True
         _write_gen_plan(cfg.out_dir, gens, cfg)

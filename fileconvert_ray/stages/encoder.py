@@ -110,8 +110,8 @@ def encode_partition_table(
 ) -> tuple[list[EncodedColumn], dict]:
     """Encode one chunk's columns; returns encoded rows + per-column info.
 
-    Codec choice for big chunks is a SAME-CHUNK trial (every close
-    candidate really encoded once on one chunk, winner kept — see
+    Codec choice for big chunks is a SAME-CHUNK trial (the top 2
+    candidates really encoded once on one chunk, winner kept — see
     ``encode_array(trial=True)``).  With ``choice_cache`` the first
     chunk per (source, column) in this process picks the codec — by
     trial when it is big — and the winner locks for later chunks."""

@@ -493,3 +493,193 @@ def test_alp_rd_float16_roundtrip():
     auto = encode_array(arr, "x", codec="auto", zstd=True)
     got2 = np.ascontiguousarray(decode_array(auto).to_numpy(zero_copy_only=False))
     assert np.array_equal(got2.view(np.int16), vals.view(np.int16))
+
+
+# ------------------------------------------- whole-column selection
+# A column no longer than the selector's sample is its own sample: the
+# selector drops candidates that cannot win and encode_array keeps the
+# selector's encode of the winner.  Both must leave the bytes unchanged.
+
+
+def _per_doc_shapes():
+    rng = np.random.default_rng(11)
+    return {
+        "n_tok_lognormal": pa.array(
+            np.clip(np.exp(6.0 + rng.standard_normal(300)), 1, 32_768).astype(np.int32)
+        ),
+        "n_tok_lognormal_4096": pa.array(
+            np.clip(np.exp(6.0 + rng.standard_normal(4096)), 1, 32_768).astype(np.int32)
+        ),
+        "doc_id": pa.array(["d%09d" % i for i in range(52_000, 52_300)]),
+        "doc_id_blocks": pa.array(
+            ["d%09d" % i for i in np.concatenate([np.arange(380, 480), np.arange(260, 360)])]
+        ),
+        "source_constant": pa.array(["src3"] * 300),
+    }
+
+
+def _whole_column_cases():
+    from fileconvert_ray.selector import SAMPLE_N
+
+    cases = {}
+    for name, vals in INT_CASES.items():
+        if len(vals) > SAMPLE_N:
+            continue
+        cases[f"int:{name}"] = pa.array(vals, type=pa.int64())
+        if not vals.size or (vals.max() < 2**31 and vals.min() >= -(2**31)):
+            cases[f"int32:{name}"] = pa.array(vals, type=pa.int32())
+    for name, vals in STR_CASES.items():
+        if len(vals) <= SAMPLE_N:
+            cases[f"str:{name}"] = pa.array(vals, type=pa.string())
+    for name, arr in _per_doc_shapes().items():
+        cases[f"doc:{name}"] = arr
+    return cases
+
+
+def _kind_and_values(arr: pa.Array):
+    if pa.types.is_string(arr.type):
+        return "str", arr, STR_CODECS
+    return "int", arr.to_numpy(zero_copy_only=False), INT_CODECS
+
+
+@pytest.mark.parametrize("zstd", [True, False])
+@pytest.mark.parametrize("case", list(_whole_column_cases()))
+def test_whole_column_auto_matches_exhaustive_selection(case, zstd):
+    """The pre-filter and the encode-once path give the same codec and
+    the same bytes as ranking every candidate and encoding the best."""
+    from fileconvert_ray.selector import NO_ZSTD_CANDIDATES, select_ranked
+
+    arr = _whole_column_cases()[case]
+    kind, values, table = _kind_and_values(arr)
+    every = [c for c in table if zstd or c in NO_ZSTD_CANDIDATES]
+    best = select_ranked(values, kind, candidates=every, zstd=zstd, target_n=len(arr))[0][0]
+    want = encode_array(arr, "col", codec=best, zstd=zstd)
+    got = encode_array(arr, "col", codec="auto", zstd=zstd)
+    assert got.codec == want.codec
+    assert got.payload == want.payload
+    assert got.params == want.params
+    assert decode_array(got).equals(arr)
+
+
+def _record_measured(monkeypatch) -> list[str]:
+    from fileconvert_ray import selector
+
+    names: list[str] = []
+    measure = selector._measured_size
+
+    def recording(codec, sample, zstd):
+        names.append(codec.name)
+        return measure(codec, sample, zstd)
+
+    monkeypatch.setattr(selector, "_measured_size", recording)
+    return names
+
+
+def test_prefilter_drops_candidates_that_cannot_win(monkeypatch):
+    from fileconvert_ray.codecs.intcodecs import RunEsc
+    from fileconvert_ray.selector import select_ranked
+
+    rng = np.random.default_rng(5)
+    no_runs = rng.integers(0, 50, 300).astype(np.int64)  # repeats, no long run
+    assert RunEsc._find_runs(no_runs, RunEsc.MINRUN)[2] is None
+    assert len(np.unique(no_runs)) < len(no_runs)
+    names = _record_measured(monkeypatch)
+    select_ranked(no_runs, "int", zstd=True, target_n=len(no_runs))
+    assert not {"resc", "rrans"} & set(names)
+    assert {"esc", "rans", "dict", "dictz"} <= set(names)
+
+    names.clear()
+    distinct = rng.permutation(300).astype(np.int64)
+    select_ranked(distinct, "int", zstd=True)
+    assert not {"dict", "dictz", "rans", "rrans", "resc"} & set(names)
+    assert {"plain", "for_bitpack", "esc", "dz"} <= set(names)
+
+    ids = pa.array(["d%09d" % i for i in range(300)])
+    names.clear()
+    select_ranked(ids, "str", zstd=True, target_n=len(ids))
+    assert names == ["plain"]
+    names.clear()
+    select_ranked(ids, "str", zstd=False, target_n=len(ids))
+    assert names == ["plain", "fsst"]
+
+
+def test_explicit_candidates_bypass_prefilter(monkeypatch):
+    from fileconvert_ray.selector import select_ranked
+
+    names = _record_measured(monkeypatch)
+    distinct = np.arange(300, dtype=np.int64)
+    select_ranked(distinct, "int", candidates=list(INT_CODECS), zstd=True)
+    assert names == list(INT_CODECS)
+
+    names.clear()
+    ids = pa.array(["d%09d" % i for i in range(300)])
+    select_ranked(ids, "str", candidates=list(STR_CODECS), zstd=True)
+    assert names == list(STR_CODECS)
+
+
+@pytest.mark.parametrize("zstd", [True, False])
+def test_whole_column_auto_encodes_each_candidate_once(monkeypatch, zstd):
+    from collections import Counter
+
+    calls: Counter = Counter()
+    for kind, table in (("int", INT_CODECS), ("str", STR_CODECS)):
+        for name, codec in table.items():
+            def counted(*args, _encode=codec.encode, _key=(kind, name), **kw):
+                calls[_key] += 1
+                return _encode(*args, **kw)
+
+            monkeypatch.setattr(codec, "encode", counted)
+    for name, arr in _per_doc_shapes().items():
+        calls.clear()
+        enc = encode_array(arr, name, codec="auto", zstd=zstd)
+        assert calls, name
+        assert max(calls.values()) == 1, (name, calls)
+        assert calls[("str" if pa.types.is_string(arr.type) else "int", enc.codec)] == 1
+
+
+def test_fsst_table_compiles_its_regex_only_for_the_reference_encoder():
+    from fileconvert_ray.codecs.fsst import SymbolTable, train
+
+    data = "".join(f"https://cdn.example.com/a/{i:08d}.png" for i in range(500)).encode()
+    tb = SymbolTable.deserialize(SymbolTable(train(data)).serialize())
+    assert tb.decode(tb.encode(data)) == data
+    assert "_pat" not in vars(tb)
+    assert tb.decode(tb.encode_re(data)) == data
+    assert "_pat" in vars(tb)
+
+
+def test_auto_with_a_trained_fsst_table_encodes_with_that_table():
+    """The selector trains its own FSST table; a caller's table must
+    still be the one the kept payload was encoded with."""
+    from fileconvert_ray.codecs.fsst import SymbolTable, train
+
+    urls = pa.array([f"https://cdn.example.com/assets/img_{i:08d}.png" for i in range(300)])
+    table = SymbolTable(train(b"https://cdn.example.com/assets/" * 50))
+    got = encode_array(urls, "url", codec="auto", zstd=False, fsst_table=table)
+    want = encode_array(urls, "url", codec="fsst", zstd=False, fsst_table=table)
+    assert got.codec == "fsst"
+    assert got.payload == want.payload and got.params == want.params
+
+
+@pytest.mark.parametrize("runner_up, tried", [(110.0, ["esc", "for_bitpack"]), (130.0, ["esc"])])
+def test_same_chunk_trial_encodes_the_top_two(monkeypatch, runner_up, tried):
+    """trial=True really encodes the leader and, when its projection is
+    within 25%, the runner-up — never a third candidate."""
+    from collections import Counter
+
+    from fileconvert_ray import selector
+    from fileconvert_ray.codecs import TRIAL_MIN_N
+
+    ranked = [("esc", 100.0), ("for_bitpack", runner_up), ("plain", 120.0), ("dz", 121.0)]
+    monkeypatch.setattr(selector, "select_ranked", lambda *a, **kw: list(ranked))
+    calls: Counter = Counter()
+    for name, codec in INT_CODECS.items():
+        def counted(*args, _encode=codec.encode, _name=name, **kw):
+            calls[_name] += 1
+            return _encode(*args, **kw)
+
+        monkeypatch.setattr(codec, "encode", counted)
+    vals = (RNG.zipf(1.3, TRIAL_MIN_N) % 31).astype(np.int32)
+    enc = encode_array(pa.array(vals), "tokens", codec="auto", trial=True)
+    assert sorted(calls) == sorted(tried) and max(calls.values()) == 1
+    assert enc.codec in tried

@@ -176,11 +176,12 @@ def test_hash_verify_modes_and_corruption(ray_session, sf_dir, out_dir):
         assert v4.drop(index=sorted(bad))["ok"].all(), mode
 
 
-def test_staged_rowgroups_bounded_by_buckets(ray_session, sf_dir, out_dir):
+def test_staged_rowgroups_bounded_by_buckets(ray_session, sf_dir, out_dir, monkeypatch):
     """Round-1 verdict fix: staged row groups must be O(blocks x buckets),
     independent of partition count — NOT O(blocks x partitions)."""
     import pyarrow.parquet as _pq
 
+    from fileconvert_ray.pipelines import encode_job
     from fileconvert_ray.pipelines.encode_job import run_encode as _run
 
     factory = lambda: tokseq_dataset(sf_dir)
@@ -188,21 +189,50 @@ def test_staged_rowgroups_bounded_by_buckets(ray_session, sf_dir, out_dir):
     cfg = EncodeConfig(
         out_dir=out_dir, target_partition_tokens=50, reduce_buckets=16, resume=False
     )
-    # keep staged files around by monkey... simpler: count row groups as
-    # metadata flows — run encode, then count from manifests+staged dir.
-    # staged/ survives until the next run's rmtree, so inspect directly.
+    # the pass removes its staged scratch when it completes: count the
+    # staged row groups at that moment, just before they are removed
+    seen = []
+    clear = encode_job._clear_staged
+
+    def count_then_clear(staged_dir):
+        staged = glob.glob(os.path.join(staged_dir, "*.parquet"))
+        seen.append((len(staged), sum(_pq.ParquetFile(p).metadata.num_row_groups for p in staged)))
+        clear(staged_dir)
+
+    monkeypatch.setattr(encode_job, "_clear_staged", count_then_clear)
     metrics = _run(factory, cfg).to_pandas()
     n_parts = len(metrics)
     assert n_parts >= 200, n_parts
-    staged = glob.glob(os.path.join(out_dir, "staged", "*.parquet"))
-    assert staged, "staged files should still exist after the run"
-    n_blocks = len(staged)
-    total_rgs = sum(_pq.ParquetFile(p).metadata.num_row_groups for p in staged)
+    # first call clears stale scratch before the pass, the last one ends it
+    n_blocks, total_rgs = seen[-1]
+    assert n_blocks, "staged files should exist until the pass completes"
     assert total_rgs <= n_blocks * 16, (total_rgs, n_blocks, n_parts)
     assert total_rgs < n_blocks * n_parts / 4
+    assert not os.listdir(os.path.join(out_dir, "staged"))
     v = run_verify(factory, out_dir, mode="hash").to_pandas()
     assert v["ok"].all()
     assert len(v) == n_parts
+
+
+def test_encode_removes_staged_scratch_and_runs_once(ray_session, sf_dir, out_dir):
+    """A completed run_encode leaves no staged scratch (fsck reports
+    none), and consuming its metrics twice re-publishes nothing."""
+    from fileconvert_ray.state.fsck import fsck
+
+    factory = lambda: tokseq_dataset(sf_dir)
+    cfg = EncodeConfig(out_dir=out_dir, target_partition_tokens=5_000)
+    metrics = run_encode(factory, cfg)
+    staged = os.path.join(out_dir, "staged")
+    assert os.path.isdir(staged) and not os.listdir(staged)
+    report = fsck(out_dir)
+    assert report["ok"]
+    assert "staged_scratch" not in {w["kind"] for w in report["warnings"]}
+
+    man = os.path.join(out_dir, "manifest")
+    mtimes = {f: os.stat(os.path.join(man, f)).st_mtime_ns for f in os.listdir(man)}
+    assert metrics.count() == len(mtimes)
+    assert len(metrics.to_pandas()) == len(mtimes)
+    assert {f: os.stat(os.path.join(man, f)).st_mtime_ns for f in os.listdir(man)} == mtimes
 
 
 def test_bucket_restage_path_roundtrip(ray_session, sf_dir, out_dir):

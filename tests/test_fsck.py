@@ -29,6 +29,13 @@ def _copy(enc_dir, tmp_path, name="d"):
     return dst
 
 
+def _leave_staged_scratch(d):
+    """What an encode pass interrupted before its end leaves behind: a
+    staged shuffle file (a completed pass removes its own)."""
+    with open(os.path.join(d, "staged", "0123abcd.parquet"), "wb") as f:
+        f.write(b"PAR1" + bytes(64) + b"PAR1")
+
+
 def test_fsck_healthy_is_ok(enc_dir, tmp_path):
     r = fsck(_copy(enc_dir, tmp_path))
     assert r["ok"] and r["errors"] == []
@@ -98,6 +105,7 @@ def test_fsck_incomplete_and_orphan_then_reclaim(enc_dir, tmp_path):
     assert pid in inc["part_ids"]
 
     # reclaim on an INCOMPLETE job: orphan + tmp go, staged/ stays
+    _leave_staged_scratch(d)
     n_staged = len(os.listdir(os.path.join(d, "staged")))
     r2 = fsck(d, reclaim=True)
     assert r2["reclaimed"]["files"] >= 1
@@ -107,6 +115,8 @@ def test_fsck_incomplete_and_orphan_then_reclaim(enc_dir, tmp_path):
 
 def test_fsck_reclaim_complete_drops_staged(enc_dir, ray_session, tmp_path):
     d = _copy(enc_dir, tmp_path)
+    assert os.listdir(os.path.join(d, "staged")) == []  # encode removed its own
+    _leave_staged_scratch(d)
     assert len(os.listdir(os.path.join(d, "staged"))) > 0
     r = fsck(d, reclaim=True)
     assert r["ok"] and r["reclaimed"]["files"] > 0
